@@ -2,10 +2,12 @@
 // by cdr_test round-trips, not by the lexical op model.
 #include "cdr/cdr.hpp"
 
+#include <cstring>
+
 namespace eternal::cdr {
 
 void Encoder::align(std::size_t alignment) {
-  const std::size_t misalign = buf_.size() % alignment;
+  const std::size_t misalign = (buf_.size() - origin_) % alignment;
   if (misalign != 0) {
     buf_.insert(buf_.end(), alignment - misalign, 0);
   }
@@ -31,6 +33,29 @@ void Encoder::put_raw(std::span<const std::uint8_t> bytes) {
 
 void Encoder::put_encapsulation(const Encoder& inner) {
   put_octet_seq(inner.data());
+}
+
+Encoder::Sequence Encoder::begin_octet_seq() {
+  put_ulong(0);  // backpatched by end_octet_seq
+  const Sequence s{buf_.size() - 4, origin_};
+  origin_ = buf_.size();
+  return s;
+}
+
+void Encoder::end_octet_seq(Sequence s) {
+  const std::size_t len = buf_.size() - (s.length_at + 4);
+  if (len > 0xffffffffULL) throw MarshalError("sequence too long");
+  const auto v = static_cast<std::uint32_t>(len);
+  overwrite(s.length_at, reinterpret_cast<const std::uint8_t*>(&v), sizeof v);
+  origin_ = s.prev_origin;
+}
+
+void Encoder::overwrite(std::size_t at, const std::uint8_t* bytes,
+                        std::size_t n) {
+  if (at > buf_.size() || n > buf_.size() - at) {
+    throw MarshalError("overwrite past end of stream");
+  }
+  std::memcpy(buf_.data() + at, bytes, n);
 }
 
 Encoder Encoder::make_encapsulation() {

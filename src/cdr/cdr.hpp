@@ -46,11 +46,21 @@ class Encoder {
   Encoder() = default;
 
   const Bytes& data() const noexcept { return buf_; }
-  Bytes take() noexcept { return std::move(buf_); }
+  Bytes take() noexcept {
+    origin_ = 0;
+    return std::move(buf_);
+  }
   std::size_t size() const noexcept { return buf_.size(); }
   /// Forget the content but keep the capacity — pooled encoders (engine
   /// execution results) reuse their allocation across operations.
-  void clear() noexcept { buf_.clear(); }
+  void clear() noexcept {
+    buf_.clear();
+    origin_ = 0;
+  }
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
+  /// Replace `n` already-encoded bytes at offset `at` (backpatching a
+  /// header once the content behind it is known).
+  void overwrite(std::size_t at, const std::uint8_t* bytes, std::size_t n);
 
   void align(std::size_t alignment);
 
@@ -93,6 +103,18 @@ class Encoder {
   /// encoder the caller fills and then passes to put_encapsulation.
   static Encoder make_encapsulation();
 
+  /// An octet sequence encoded in place: begin_octet_seq reserves the
+  /// ulong length and restarts the alignment origin at the content's first
+  /// byte; end_octet_seq backpatches the length and restores the origin.
+  /// The bytes equal put_octet_seq of the same content encoded by a fresh
+  /// Encoder, without the intermediate buffer.
+  struct Sequence {
+    std::size_t length_at = 0;
+    std::size_t prev_origin = 0;
+  };
+  Sequence begin_octet_seq();
+  void end_octet_seq(Sequence s);
+
  private:
   template <typename T>
   void put_aligned(T v) {
@@ -102,6 +124,7 @@ class Encoder {
   }
 
   Bytes buf_;
+  std::size_t origin_ = 0;  // alignment origin (current in-place sequence)
 };
 
 /// CDR writer encoding in place over an arena-backed frame. The hot-path

@@ -84,12 +84,15 @@ void NodeDurability::cut_checkpoint(CheckpointRecord rec) {
   checkpoints_cut_.inc();
   // Compact below the minimum position any retained checkpoint (newest
   // *or* its fallback) could still ask to replay from. A group that
-  // journals but never checkpoints (cold-passive backups) pins the whole
-  // tape — it replays from scratch.
+  // journals but has no checkpoint (cold-passive backups) replays from
+  // scratch, so it pins the tape at its oldest retained record.
   const std::map<std::string, std::uint64_t> safe =
       checkpoints_.safe_positions();
   std::uint64_t keep_from = rec.position;
   for (const auto& [group, pos] : safe) keep_from = std::min(keep_from, pos);
+  journal_.for_each_group([&](const std::string& group, std::uint64_t first) {
+    if (!safe.count(group)) keep_from = std::min(keep_from, first);
+  });
   if (keep_from > 0) compacted_bytes_.inc(journal_.compact(keep_from));
   journal_.sync();
   write_meta();
@@ -109,10 +112,11 @@ void NodeDurability::write_meta() {
     m.client_next_op = s.client_next_op;
   }
   cdr::Encoder enc;
+  enc.reserve(8 + 2 * 8);  // frame header + two ulonglongs: one allocation
+  frame_begin(enc);
   encode_meta_record_into(enc, m);
-  Bytes framed;
-  frame_append(framed, enc.data());
-  disk_.write_file("meta", framed);
+  frame_end(enc);
+  disk_.write_file("meta", enc.take());
 }
 
 void NodeDurability::on_crash(bool torn) {

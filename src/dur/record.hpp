@@ -36,7 +36,8 @@ namespace eternal::dur {
 
 using cdr::Bytes;
 
-/// CRC-32 (IEEE 802.3, reflected) over `len` bytes.
+/// CRC-32 (IEEE 802.3, reflected) over `len` bytes, sliced eight bytes
+/// per step.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len);
 
 struct JournalRecord {
@@ -75,9 +76,13 @@ CheckpointRecord decode_checkpoint_record(cdr::Decoder& in);
 void encode_meta_record_into(cdr::Encoder& out, const MetaRecord& r);
 MetaRecord decode_meta_record(cdr::Decoder& in);
 
-/// Append one framed record (length + CRC header, then `payload`) to
-/// `out`.
-void frame_append(Bytes& out, const Bytes& payload);
+/// Frame a record in place: frame_begin reserves the [u32 length][u32
+/// crc32] header (little-endian) in an empty encoder, the caller encodes
+/// the payload behind it (alignment is unchanged — the header is 8
+/// bytes), and frame_end fills the header in. The framed bytes stay in the
+/// encoder: append its data() or move them out with take().
+void frame_begin(cdr::Encoder& out);
+void frame_end(cdr::Encoder& out);
 
 /// Parse the frame starting at `offset`. Returns true and sets
 /// `payload_offset`/`payload_len` when an intact, CRC-valid frame is

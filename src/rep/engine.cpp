@@ -634,8 +634,7 @@ void Engine::handle_invocation(LocalGroup& g, const Envelope& env,
     return;
   }
   if (g.cfg.style == Style::Active) {
-    // lint:allow(hotpath-alloc: dedup set must retain the id — one set node per new operation, reclaimed on reply-log eviction)
-    g.known_ops.insert(env.op_id);
+    remember_op(g, env.op_id);
     start_execution(g, env, carrier);
     return;
   }
@@ -653,16 +652,14 @@ void Engine::handle_invocation(LocalGroup& g, const Envelope& env,
   const bool read_only =
       g.replica && g.replica->is_read_only(req.request->operation);
   if (i_am_primary(g)) {
-    // lint:allow(hotpath-alloc: dedup set must retain the id — one set node per new operation, reclaimed on reply-log eviction)
-    g.known_ops.insert(env.op_id);
+    remember_op(g, env.op_id);
     // lint:allow(hotpath-alloc: failover log retains the envelope; its frame payloads are refcounted slices, not copies)
     if (!read_only) g.invocation_log.push_back({env, carrier, false});
     // lint:allow(hotpath-alloc: exec queue retains the envelope; its frame payloads are refcounted slices, not copies)
     g.exec_queue.emplace_back(env, carrier);
     pump_exec_queue(g);
   } else if (!read_only) {
-    // lint:allow(hotpath-alloc: dedup set must retain the id — one set node per new operation, reclaimed on reply-log eviction)
-    g.known_ops.insert(env.op_id);
+    remember_op(g, env.op_id);
     // lint:allow(hotpath-alloc: failover log retains the envelope; its frame payloads are refcounted slices, not copies)
     g.invocation_log.push_back({env, carrier, false});
   } else {
@@ -1030,14 +1027,25 @@ void Engine::resend_logged_reply(LocalGroup& g, const Envelope& inv) {
 
 void Engine::log_reply(LocalGroup& g, const OperationId& op,
                        cdr::WireBuf reply) {
-  if (g.reply_log.emplace(op, std::move(reply)).second) {
-    g.reply_log_order.push_back(op);
-    while (g.reply_log_order.size() > params_.reply_log_capacity) {
-      const OperationId victim = g.reply_log_order.front();
-      g.reply_log_order.pop_front();
-      g.reply_log.erase(victim);
-      g.known_ops.erase(victim);
-    }
+  const auto [it, fresh] = g.reply_log.emplace(op, std::move(reply));
+  if (!fresh) return;
+  g.reply_log_order.push_back(it);
+  while (g.reply_log_order.size() > params_.reply_log_capacity) {
+    g.reply_log.erase(g.reply_log_order.front());
+    g.reply_log_order.pop_front();
+  }
+}
+
+void Engine::remember_op(LocalGroup& g, const OperationId& op) {
+  // lint: hotpath — once per delivered operation at every replica
+  // lint:allow(hotpath-alloc: dedup set must retain the id — one set node per new operation, reclaimed FIFO at reply_log_capacity below)
+  const auto [it, fresh] = g.known_ops.insert(op);
+  if (!fresh) return;
+  // lint:allow(hotpath-alloc: one FIFO slot per set node, bounded by reply_log_capacity below)
+  g.known_ops_order.push_back(it);
+  while (g.known_ops_order.size() > params_.reply_log_capacity) {
+    g.known_ops.erase(g.known_ops_order.front());
+    g.known_ops_order.pop_front();
   }
 }
 
@@ -1075,7 +1083,7 @@ void Engine::handle_state_update(LocalGroup& g, const Envelope& env) {
       break;
     }
   }
-  g.known_ops.insert(env.op_id);
+  remember_op(g, env.op_id);
   if (g.reply_log.count(env.op_id)) return;  // I executed this one myself
 
   if (env.state_version <= g.state_version &&
@@ -1634,51 +1642,60 @@ void Engine::handle_state_digest(LocalGroup& g, const Envelope& env) {
 
 Bytes Engine::encode_checkpoint(const LocalGroup& g,
                                 CheckpointSizes* sizes) const {
-  // Tier 1: application state.
-  cdr::Encoder tier1;
-  g.replica->get_state(tier1);
+  // Three tiers, each an octet sequence encoded in place in one buffer
+  // (same bytes as encoding each into its own stream and copying it in).
+  cdr::Encoder out;
+  const auto end_tier = [&out](cdr::Encoder::Sequence tier) {
+    out.end_octet_seq(tier);
+    return out.size() - (tier.length_at + 4);  // content bytes
+  };
 
-  // Tier 2: ORB state — the reply log and executed-operation set, without
-  // which a recovered replica would re-execute or fail to answer retries.
-  cdr::Encoder tier2;
-  tier2.put_ulong(static_cast<std::uint32_t>(g.reply_log_order.size()));
-  for (const OperationId& op : g.reply_log_order) {
-    auto it = g.reply_log.find(op);
-    tier2.put_ulonglong(op.parent.epoch);
-    tier2.put_ulonglong(op.parent.seq);
-    tier2.put_ulonglong(op.op_seq);
-    tier2.put_octet_seq(it->second.span());
+  // Tier 1: application state.
+  cdr::Encoder::Sequence tier = out.begin_octet_seq();
+  g.replica->get_state(out);
+  const std::size_t application = end_tier(tier);
+
+  // Tier 2: ORB state — the reply log and executed-operation set, both
+  // oldest first so a restored replica evicts them in the same order as
+  // its siblings; without them it would re-execute or fail to answer
+  // retries.
+  tier = out.begin_octet_seq();
+  out.put_ulong(static_cast<std::uint32_t>(g.reply_log_order.size()));
+  for (const auto& entry : g.reply_log_order) {
+    const OperationId& op = entry->first;
+    out.put_ulonglong(op.parent.epoch);
+    out.put_ulonglong(op.parent.seq);
+    out.put_ulonglong(op.op_seq);
+    out.put_octet_seq(entry->second.span());
   }
-  tier2.put_ulong(static_cast<std::uint32_t>(g.known_ops.size()));
-  for (const OperationId& op : g.known_ops) {
-    tier2.put_ulonglong(op.parent.epoch);
-    tier2.put_ulonglong(op.parent.seq);
-    tier2.put_ulonglong(op.op_seq);
+  out.put_ulong(static_cast<std::uint32_t>(g.known_ops_order.size()));
+  for (const auto& known : g.known_ops_order) {
+    const OperationId& op = *known;
+    out.put_ulonglong(op.parent.epoch);
+    out.put_ulonglong(op.parent.seq);
+    out.put_ulonglong(op.op_seq);
   }
+  const std::size_t orb = end_tier(tier);
 
   // Tier 3: infrastructure state — versions, the passive invocation log,
   // and the synced set.
-  cdr::Encoder tier3;
-  tier3.put_ulonglong(g.state_version);
-  tier3.put_ulong(static_cast<std::uint32_t>(g.invocation_log.size()));
+  tier = out.begin_octet_seq();
+  out.put_ulonglong(g.state_version);
+  out.put_ulong(static_cast<std::uint32_t>(g.invocation_log.size()));
   for (const auto& logged : g.invocation_log) {
-    tier3.put_octet_seq(encode(logged.env));
-    tier3.put_ulonglong(logged.carrier.epoch);
-    tier3.put_ulonglong(logged.carrier.seq);
+    out.put_octet_seq(encode(logged.env));
+    out.put_ulonglong(logged.carrier.epoch);
+    out.put_ulonglong(logged.carrier.seq);
   }
-  tier3.put_ulong(static_cast<std::uint32_t>(g.synced_set.size()));
-  for (NodeId n : g.synced_set) tier3.put_ulong(n);
+  out.put_ulong(static_cast<std::uint32_t>(g.synced_set.size()));
+  for (NodeId n : g.synced_set) out.put_ulong(n);
+  const std::size_t infrastructure = end_tier(tier);
 
   if (sizes) {
-    sizes->application = tier1.size();
-    sizes->orb = tier2.size();
-    sizes->infrastructure = tier3.size();
+    sizes->application = application;
+    sizes->orb = orb;
+    sizes->infrastructure = infrastructure;
   }
-
-  cdr::Encoder out;
-  out.put_octet_seq(tier1.data());
-  out.put_octet_seq(tier2.data());
-  out.put_octet_seq(tier3.data());
   return out.take();
 }
 
@@ -1697,14 +1714,15 @@ void Engine::apply_checkpoint(LocalGroup& g, const Bytes& blob) {
     g.reply_log.clear();
     g.reply_log_order.clear();
     g.known_ops.clear();
+    g.known_ops_order.clear();
     const std::uint32_t replies = d2.get_ulong();
     for (std::uint32_t i = 0; i < replies; ++i) {
       OperationId op;
       op.parent.epoch = d2.get_ulonglong();
       op.parent.seq = d2.get_ulonglong();
       op.op_seq = d2.get_ulonglong();
-      g.reply_log.emplace(op, d2.get_octet_seq_buf());
-      g.reply_log_order.push_back(op);
+      const auto [it, fresh] = g.reply_log.emplace(op, d2.get_octet_seq_buf());
+      if (fresh) g.reply_log_order.push_back(it);
     }
     const std::uint32_t known = d2.get_ulong();
     for (std::uint32_t i = 0; i < known; ++i) {
@@ -1712,7 +1730,7 @@ void Engine::apply_checkpoint(LocalGroup& g, const Bytes& blob) {
       op.parent.epoch = d2.get_ulonglong();
       op.parent.seq = d2.get_ulonglong();
       op.op_seq = d2.get_ulonglong();
-      g.known_ops.insert(op);
+      remember_op(g, op);
     }
   }
   {

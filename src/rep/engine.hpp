@@ -307,9 +307,11 @@ class Engine {
 
     // Tier-2 (ORB) state. Logged replies are refcounted frame slices, so
     // logging and resending never copy the GIOP bytes.
-    std::map<OperationId, cdr::WireBuf> reply_log;  // op -> GIOP reply
-    std::deque<OperationId> reply_log_order;      // FIFO eviction
-    std::set<OperationId> known_ops;              // executed or in progress
+    using ReplyLog = std::map<OperationId, cdr::WireBuf>;  // op -> reply
+    ReplyLog reply_log;
+    std::deque<ReplyLog::iterator> reply_log_order;  // FIFO eviction
+    std::set<OperationId> known_ops;  // executed or in progress
+    std::deque<std::set<OperationId>::iterator> known_ops_order;  // FIFO
 
     // Passive machinery.
     std::deque<LoggedInvocation> invocation_log;  // awaiting StateUpdate
@@ -393,6 +395,10 @@ class Engine {
   void broadcast_synced_mark(LocalGroup& g);
 
   void log_reply(LocalGroup& g, const OperationId& op, cdr::WireBuf reply);
+  /// Mark `op` known (executed or in progress) for duplicate suppression.
+  /// Bounded FIFO at reply_log_capacity on every replica — passive
+  /// backups never log replies, so reply-log eviction cannot bound it.
+  void remember_op(LocalGroup& g, const OperationId& op);
   void send_envelope(const std::string& totem_group, const Envelope& env);
 
   // --- durability hooks ---

@@ -15,6 +15,8 @@ namespace eternal::rep {
 class Replica : public orb::Servant {
  public:
   /// Serialise the full application state (tier 1 of the three-tier state).
+  /// Only append to `out`: a checkpoint encodes the tier in place, inside
+  /// a larger stream.
   virtual void get_state(cdr::Encoder& out) const = 0;
   /// Restore the full application state.
   virtual void set_state(cdr::Decoder& in) = 0;

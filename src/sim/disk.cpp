@@ -1,8 +1,10 @@
 #include "sim/disk.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 namespace eternal::sim {
 
@@ -14,11 +16,20 @@ bool Disk::append(const std::string& name, const std::uint8_t* bytes,
   return true;
 }
 
-bool Disk::write_file(const std::string& name, const DiskBytes& bytes) {
+bool Disk::write_file(const std::string& name, DiskBytes bytes) {
   if (full_) return false;
   File& f = files_[name];
-  f.data = bytes;
-  f.synced = bytes.size();  // atomic replace: durable as a unit
+  f.data = std::move(bytes);
+  f.synced = f.data.size();  // atomic replace: durable as a unit
+  return true;
+}
+
+bool Disk::drop_prefix(const std::string& name, std::size_t n) {
+  if (full_) return false;
+  File& f = files_[name];
+  n = std::min(n, f.data.size());
+  f.data.erase(f.data.begin(), f.data.begin() + static_cast<std::ptrdiff_t>(n));
+  f.synced = f.data.size();  // atomic replace: durable as a unit
   return true;
 }
 
@@ -32,6 +43,7 @@ void Disk::sync_all() {
 }
 
 const DiskBytes* Disk::read(const std::string& name) const {
+  ++read_calls_;
   const auto it = files_.find(name);
   return it == files_.end() ? nullptr : &it->second.data;
 }

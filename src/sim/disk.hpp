@@ -50,7 +50,13 @@ class Disk {
 
   /// Atomically replace `name` with `bytes`, durable immediately (models
   /// write-temp + fsync + rename). Returns false when the disk is full.
-  bool write_file(const std::string& name, const DiskBytes& bytes);
+  bool write_file(const std::string& name, DiskBytes bytes);
+
+  /// Atomically drop the first `n` bytes of `name`, durable immediately
+  /// (the rewrite-temp + fsync + rename of a journal compaction, done in
+  /// one step). Returns false — and changes nothing — when the disk is
+  /// full.
+  bool drop_prefix(const std::string& name, std::size_t n);
 
   /// Extend the durable prefix of one file / of every file to its current
   /// in-memory length (fsync).
@@ -78,6 +84,9 @@ class Disk {
   bool truncate(const std::string& name, std::size_t new_size);
   std::size_t synced_size(const std::string& name) const;
   std::size_t size(const std::string& name) const;
+  /// Number of read() calls so far: lets tests prove a path never
+  /// re-reads what it wrote.
+  std::size_t read_calls() const noexcept { return read_calls_; }
 
   // --- offline persistence -------------------------------------------
   /// Write each file's durable prefix to `<dir>/<file>`; returns false on
@@ -89,6 +98,7 @@ class Disk {
  private:
   std::map<std::string, File> files_;
   bool full_ = false;
+  mutable std::size_t read_calls_ = 0;
 };
 
 /// One Disk per node, addressed by NodeId. Constructed outside the

@@ -172,5 +172,34 @@ TEST(Cdr, TakeMovesBuffer) {
   EXPECT_EQ(b.size(), 4u);
 }
 
+TEST(Cdr, InPlaceOctetSeqMatchesSeparateEncoder) {
+  // Reference: each sequence's content encoded by its own Encoder (its own
+  // alignment origin) and copied in with put_octet_seq.
+  Encoder inner;
+  inner.put_octet(7);
+  inner.put_ulonglong(0x1122334455667788ull);
+  Encoder mid;
+  mid.put_octet(3);
+  mid.put_octet_seq(inner.data());
+  mid.put_ulong(9);
+  Encoder ref;
+  ref.put_octet(1);
+  ref.put_octet_seq(mid.data());
+  ref.put_ulonglong(5);
+
+  Encoder enc;
+  enc.put_octet(1);
+  const Encoder::Sequence outer = enc.begin_octet_seq();
+  enc.put_octet(3);
+  const Encoder::Sequence nested = enc.begin_octet_seq();
+  enc.put_octet(7);
+  enc.put_ulonglong(0x1122334455667788ull);
+  enc.end_octet_seq(nested);
+  enc.put_ulong(9);
+  enc.end_octet_seq(outer);
+  enc.put_ulonglong(5);
+  EXPECT_EQ(enc.data(), ref.data());
+}
+
 }  // namespace
 }  // namespace eternal::cdr

@@ -1,8 +1,12 @@
 // Durability subsystem unit tests: simulated-disk semantics, record
 // framing, journal corruption matrix (truncated tail / CRC flip / torn
-// mid-record / disk full) and checkpoint retention + fallback.
+// mid-record / disk full), checkpoint retention + fallback, and the
+// compaction rules and read-free checkpoint cuts of NodeDurability.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "dur/durability.hpp"
 #include "dur/journal.hpp"
 #include "dur/record.hpp"
 #include "sim/disk.hpp"
@@ -123,11 +127,42 @@ TEST(Record, CheckpointRecordRoundTrip) {
   EXPECT_EQ(out.blob, in.blob);
 }
 
+// Bytewise framing reference: [u32 length][u32 crc32], little-endian, then
+// the payload.
+Bytes frame_reference(const Bytes& payload) {
+  Bytes out;
+  const auto put_u32 = [&out](std::uint32_t v) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      out.push_back(static_cast<std::uint8_t>(v >> shift));
+    }
+  };
+  put_u32(static_cast<std::uint32_t>(payload.size()));
+  put_u32(crc32(payload.data(), payload.size()));
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+TEST(Record, InPlaceFrameMatchesReference) {
+  CheckpointRecord rec;
+  rec.group = "g";  // odd-length string: the payload needs alignment padding
+  rec.state_version = 7;
+  rec.position = 3;
+  rec.blob = Bytes{1, 2, 3, 4, 5};
+  cdr::Encoder payload;
+  encode_checkpoint_record_into(payload, rec);
+  cdr::Encoder framed;
+  frame_begin(framed);
+  encode_checkpoint_record_into(framed, rec);
+  frame_end(framed);
+  EXPECT_EQ(framed.data(), frame_reference(payload.data()));
+}
+
 TEST(Record, FrameRejectsCorruptPayload) {
   cdr::Encoder enc;
+  frame_begin(enc);
   encode_meta_record_into(enc, MetaRecord{3, 4});
-  Bytes framed;
-  frame_append(framed, enc.data());
+  frame_end(enc);
+  Bytes framed = enc.take();
   std::size_t off = 0, len = 0;
   ASSERT_TRUE(frame_parse(framed, 0, off, len));
   framed[framed.size() - 1] ^= 0xFF;  // flip a payload byte
@@ -138,6 +173,47 @@ TEST(Record, FrameRejectsTruncatedHeader) {
   Bytes framed{1, 2, 3};  // shorter than the [len][crc] header
   std::size_t off = 0, len = 0;
   EXPECT_FALSE(frame_parse(framed, 0, off, len));
+}
+
+TEST(Record, Crc32KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
+                  check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+  const std::uint8_t zeros[32] = {};
+  EXPECT_EQ(crc32(zeros, sizeof zeros), 0x190A55ADu);
+}
+
+// Every length 0..64 at every alignment offset 0..7 must match the plain
+// one-byte-at-a-time table CRC, so word-sliced loops cannot drift at
+// their head/tail boundaries.
+TEST(Record, Crc32MatchesBytewiseReference) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  const auto reference = [&table](const std::uint8_t* p, std::size_t n) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  alignas(8) std::uint8_t buf[64 + 8];
+  std::uint32_t x = 0x12345678u;
+  for (std::uint8_t& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(crc32(buf + offset, len), reference(buf + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -331,6 +407,29 @@ TEST(CheckpointStore, SafePositionsTrackOlderRetained) {
   EXPECT_EQ(safe.at("b"), 0u);   // single checkpoint pins the whole tape
 }
 
+// A store opened over an earlier life's files learns their positions once,
+// then keeps retiring and answering from memory.
+TEST(CheckpointStore, ReopenLearnsRetainedPositions) {
+  sim::Disk disk;
+  {
+    CheckpointStore store(disk);
+    ASSERT_TRUE(store.save(make_checkpoint("a", 10, 5)));
+    ASSERT_TRUE(store.save(make_checkpoint("a", 20, 11)));
+    ASSERT_TRUE(store.save(make_checkpoint("a-b", 7, 3)));
+  }
+  CheckpointStore store(disk);
+  const std::size_t reads = disk.read_calls();
+  EXPECT_EQ(store.safe_positions(),
+            (std::map<std::string, std::uint64_t>{{"a", 5}, {"a-b", 0}}));
+  ASSERT_TRUE(store.save(make_checkpoint("a", 30, 17)));
+  EXPECT_EQ(store.safe_positions().at("a"), 11u);
+  EXPECT_EQ(disk.read_calls(), reads);
+  EXPECT_EQ(disk.list("ckpt-a-0"),
+            (std::vector<std::string>{"ckpt-a-00000000000000000020",
+                                      "ckpt-a-00000000000000000030"}));
+  EXPECT_EQ(disk.list("ckpt-a-b-").size(), 1u);
+}
+
 TEST(CheckpointStore, GroupNamesWithDashesParse) {
   sim::Disk disk;
   CheckpointStore store(disk);
@@ -338,6 +437,109 @@ TEST(CheckpointStore, GroupNamesWithDashesParse) {
   const auto groups = store.groups();
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0], "multi-part-name");
+}
+
+// ---------------------------------------------------------------------------
+// NodeDurability: compaction rules and cut cost
+// ---------------------------------------------------------------------------
+
+std::size_t count_group(const std::vector<JournalRecord>& records,
+                        const std::string& group) {
+  return static_cast<std::size_t>(std::count_if(
+      records.begin(), records.end(),
+      [&group](const JournalRecord& r) { return r.group == group; }));
+}
+
+// A co-hosted group that journals but never checkpoints (a cold-passive
+// backup) replays from scratch, so another group's cuts must never compact
+// its records away.
+TEST(NodeDurability, GroupWithoutCheckpointPinsTheTape) {
+  sim::Simulation sim(1);
+  sim::Disk disk;
+  NodeDurability dur(sim, disk, 0, DurParams{});
+  std::uint64_t seq = 0;
+  for (std::uint64_t cut = 1; cut <= 3; ++cut) {
+    for (int i = 0; i < 4; ++i) {
+      dur.append(make_record(++seq, "a"));
+      dur.append(make_record(++seq, "c"));
+    }
+    dur.cut_checkpoint(make_checkpoint("a", 10 * cut, 0));
+  }
+  EXPECT_EQ(count_group(dur.journal().scan().records, "c"), 12u);
+  const RecoveredNode rec = dur.recover();
+  EXPECT_EQ(count_group(rec.records, "c"), 12u);
+  EXPECT_EQ(rec.stats.records_replayed, rec.records.size());
+}
+
+// Steady-state cuts cost O(checkpoint), not O(tape): once warm, persisting
+// a checkpoint, retiring the old one and compacting the journal never read
+// anything back from disk.
+TEST(NodeDurability, CheckpointCutsNeverReadTheDisk) {
+  sim::Simulation sim(1);
+  sim::Disk disk;
+  NodeDurability dur(sim, disk, 0, DurParams{});
+  dur.start();
+  std::uint64_t seq = 0;
+  const auto cut_round = [&](std::uint64_t version) {
+    for (int i = 0; i < 4; ++i) dur.append(make_record(++seq, "g"));
+    sim.run_for(sim::kMillisecond);  // a group-commit tick or two
+    dur.cut_checkpoint(make_checkpoint("g", version, 0));
+  };
+  cut_round(1);
+  cut_round(2);
+  const std::size_t reads = disk.read_calls();
+  for (std::uint64_t v = 3; v < 53; ++v) cut_round(v);
+  EXPECT_EQ(disk.read_calls(), reads);
+  // ...and still compacted: only the records since the older retained
+  // checkpoint remain.
+  const ScanResult scan = dur.journal().scan();
+  ASSERT_EQ(scan.records.size(), 4u);
+  EXPECT_EQ(scan.records.front().index, 4u * 51);
+  EXPECT_EQ(disk.list("ckpt-g-").size(), 2u);
+  dur.close();
+}
+
+// The in-place prefix drop leaves exactly the bytes a fresh journal of the
+// retained records would hold, durable as a unit, and appends continue
+// behind it.
+TEST(Journal, CompactMatchesReencodedSuffix) {
+  sim::Disk disk;
+  Journal j(disk);
+  const auto reencoded = [&j] {
+    Bytes out;
+    for (const JournalRecord& r : j.scan().records) {
+      cdr::Encoder enc;
+      encode_journal_record_into(enc, r);
+      const Bytes framed = frame_reference(enc.data());
+      out.insert(out.end(), framed.begin(), framed.end());
+    }
+    return out;
+  };
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    JournalRecord r = make_record(i, i % 3 ? "g" : "h", 16 + i);
+    ASSERT_TRUE(j.append(r));
+  }
+  const std::size_t before = disk.size("journal");
+  EXPECT_EQ(j.compact(5) + disk.size("journal"), before);
+  EXPECT_EQ(disk.synced_size("journal"), disk.size("journal"));
+  EXPECT_EQ(*disk.read("journal"), reencoded());
+  EXPECT_EQ(j.scan().records.front().index, 5u);
+  std::vector<std::pair<std::string, std::uint64_t>> firsts;
+  j.for_each_group([&firsts](const std::string& g, std::uint64_t first) {
+    firsts.emplace_back(g, first);
+  });
+  EXPECT_EQ(firsts, (std::vector<std::pair<std::string, std::uint64_t>>{
+                        {"h", 6}, {"g", 5}}));
+
+  JournalRecord r = make_record(99, "g");
+  ASSERT_TRUE(j.append(r));
+  EXPECT_GT(j.compact(11), 0u);
+  EXPECT_EQ(*disk.read("journal"), reencoded());
+  const ScanResult s = j.scan();
+  ASSERT_EQ(s.records.size(), 2u);
+  EXPECT_EQ(s.records.front().index, 11u);
+  EXPECT_EQ(s.records.back().index, 12u);
+  EXPECT_EQ(j.compact(11), 0u);  // nothing left below the threshold
 }
 
 }  // namespace

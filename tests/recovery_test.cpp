@@ -4,6 +4,8 @@
 // that straddle the restart staying exactly-once.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "app/servants.hpp"
 #include "ft/recovery.hpp"
 #include "ft/replication_manager.hpp"
@@ -299,6 +301,135 @@ TEST(Recovery, NestedOperationsRecoverConsistently) {
   EXPECT_EQ(alice.balance(), 800);
   EXPECT_EQ(bob.balance(), 200);
   EXPECT_EQ(alice.balance() + bob.balance(), 1000);
+}
+
+// Size and CRC-32 of every file on every disk of a farm, one line each:
+// "node <n> <file> <size> <crc32 hex>".
+std::vector<std::string> tape_fingerprint(const sim::DiskFarm& farm) {
+  std::vector<std::string> out;
+  for (NodeId n = 0; n < farm.size(); ++n) {
+    const sim::Disk& disk = farm.disk(n);
+    for (const std::string& name : disk.list()) {
+      const sim::DiskBytes& data = *disk.read(name);
+      char line[160];
+      std::snprintf(line, sizeof line, "node %u %s %zu %08x",
+                    static_cast<unsigned>(n), name.c_str(), data.size(),
+                    static_cast<unsigned>(
+                        dur::crc32(data.data(), data.size())));
+      out.emplace_back(line);
+    }
+  }
+  return out;
+}
+
+void expect_fingerprint(const sim::DiskFarm& farm,
+                        const std::vector<std::string>& golden,
+                        const char* phase) {
+  const std::vector<std::string> got = tape_fingerprint(farm);
+  std::string dump;
+  for (const std::string& line : got) dump += "      \"" + line + "\",\n";
+  EXPECT_EQ(got, golden) << phase << " fingerprint now:\n" << dump;
+}
+
+// Byte-level pin of the durable tape: a fixed scenario (active + warm-
+// passive groups, checkpoint interval 8 so the journal compacts many times,
+// a torn whole-domain power cut, cold restart, more writes) must leave
+// exactly these files on every disk. Journal, checkpoint and meta formats,
+// framing, CRC and compaction may change in cost but never in bytes.
+TEST(Recovery, TapeBytesMatchGoldens) {
+  sim::DiskFarm farm(4);
+  dur::DurParams dp;
+  dp.checkpoint_interval = 8;
+  DurableCluster c(4, farm, 71, dp);
+  c.start();
+  c.rm.create_object<Counter>("counter", actives(3), {{0, 1, 2}});
+  Properties warm = actives(3);
+  warm.replication_style = rep::Style::WarmPassive;
+  c.rm.create_object<Counter>("warm", warm, {{0, 1, 2}});
+  ASSERT_TRUE(c.converge());
+  // Count compactions as advances of node 0's oldest retained record.
+  std::uint64_t oldest = 0;
+  std::size_t compactions = 0;
+  for (int i = 0; i < 48; ++i) {
+    c.incr(3, "counter", 1);
+    c.incr(3, "warm", 2);
+    const dur::ScanResult scan = c.plane.at(0).journal().scan();
+    ASSERT_FALSE(scan.records.empty());
+    if (scan.records.front().index > oldest) ++compactions;
+    oldest = scan.records.front().index;
+  }
+  EXPECT_GE(compactions, 3u);
+
+  // A burst still in flight at the power cut: step until some journal holds
+  // appended-but-unsynced bytes, so the torn cut tears a record mid-frame.
+  for (int i = 0; i < 6; ++i) {
+    cdr::Encoder enc;
+    enc.put_longlong(1);
+    c.domain.client(3).invoke("counter", "incr", enc.take());
+  }
+  const auto unsynced = [&farm] {
+    for (NodeId n : {0, 1, 2}) {
+      const sim::Disk& disk = farm.disk(n);
+      if (disk.size("journal") > disk.synced_size("journal")) return true;
+    }
+    return false;
+  };
+  for (int step = 0; step < 1000 && !unsynced(); ++step) {
+    c.sim.run_for(10 * sim::kMicrosecond);
+  }
+  ASSERT_TRUE(unsynced());
+  c.kill({0, 1, 2, 3}, /*torn=*/true);
+  expect_fingerprint(farm, {
+      "node 0 ckpt-counter-00000000000000000040 3660 2cd544a9",
+      "node 0 ckpt-counter-00000000000000000048 4364 6a0bb5de",
+      "node 0 ckpt-warm-00000000000000000040 3660 23197221",
+      "node 0 ckpt-warm-00000000000000000048 4364 6f310a9a",
+      "node 0 journal 7607 0daea629",
+      "node 0 meta 24 82d1d941",
+      "node 1 ckpt-counter-00000000000000000040 3660 2cd544a9",
+      "node 1 ckpt-counter-00000000000000000048 4364 6a0bb5de",
+      "node 1 ckpt-warm-00000000000000000040 1092 0f992cc6",
+      "node 1 ckpt-warm-00000000000000000048 1284 2325ad9b",
+      "node 1 journal 7730 5e75cfc6",
+      "node 1 meta 24 82d1d941",
+      "node 2 ckpt-counter-00000000000000000040 3660 2cd544a9",
+      "node 2 ckpt-counter-00000000000000000048 4364 6a0bb5de",
+      "node 2 ckpt-warm-00000000000000000040 1092 0f992cc6",
+      "node 2 ckpt-warm-00000000000000000048 1284 2325ad9b",
+      "node 2 journal 7730 5e75cfc6",
+      "node 2 meta 24 82d1d941",
+      "node 3 meta 24 09fa9d1a",
+  }, "after torn power cut");
+
+  c.sim.run_for(200 * kMillisecond);
+  c.rm.recover_domain();
+  ASSERT_TRUE(c.converge());
+  for (int i = 0; i < 20; ++i) {
+    c.incr(3, "counter", 1);
+    c.incr(3, "warm", 1);
+  }
+  c.plane.sync_all();
+  expect_fingerprint(farm, {
+      "node 0 ckpt-counter-00000000000000000056 5068 e0870022",
+      "node 0 ckpt-counter-00000000000000000064 5772 3714b776",
+      "node 0 ckpt-warm-00000000000000000056 5068 6636ff6a",
+      "node 0 ckpt-warm-00000000000000000064 5772 d07d0cce",
+      "node 0 journal 11310 61e726e4",
+      "node 0 meta 24 cff9164d",
+      "node 1 ckpt-counter-00000000000000000056 5068 b629426c",
+      "node 1 ckpt-counter-00000000000000000064 5772 92496bd5",
+      "node 1 ckpt-warm-00000000000000000056 1476 6bdeccbf",
+      "node 1 ckpt-warm-00000000000000000064 1668 902c8cb2",
+      "node 1 journal 11310 9f0008fc",
+      "node 1 meta 24 cff9164d",
+      "node 2 ckpt-counter-00000000000000000056 5068 b629426c",
+      "node 2 ckpt-counter-00000000000000000064 5772 92496bd5",
+      "node 2 ckpt-warm-00000000000000000056 1476 6bdeccbf",
+      "node 2 ckpt-warm-00000000000000000064 1668 902c8cb2",
+      "node 2 journal 11310 9f0008fc",
+      "node 2 meta 24 cff9164d",
+      "node 3 meta 24 b4379b78",
+  }, "after cold restart");
 }
 
 #ifdef RECOVERCTL_DUMP_DIR

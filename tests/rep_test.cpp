@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "app/servants.hpp"
+#include "giop/giop.hpp"
 #include "rep/domain.hpp"
 
 namespace eternal::rep {
@@ -283,6 +284,84 @@ TEST(StateTransfer, ThreeTierCheckpointSizes) {
   EXPECT_GT(sizes.infrastructure, 0u);
   EXPECT_EQ(sizes.total(),
             sizes.application + sizes.orb + sizes.infrastructure);
+}
+
+// Passive backups record every operation id for duplicate suppression but
+// never log replies; the id set must still stay bounded by the reply-log
+// capacity, or their checkpoints grow with history.
+TEST(StateTransfer, BackupOperationSetStaysBounded) {
+  EngineParams ep;
+  ep.reply_log_capacity = 16;
+  Cluster c(3, 1, ep);
+  c.domain.host_on<Counter>(cfg("ctr", Style::WarmPassive), {0, 1});
+  ASSERT_TRUE(c.converge());
+  for (int i = 0; i < 100; ++i) c.invoke_i64(2, "ctr", "incr", 1);
+  c.run(kSecond);
+  const NodeId primary = c.domain.engine(0).is_primary("ctr") ? 0 : 1;
+  const NodeId backup = 1 - primary;
+  ASSERT_EQ(c.replica<Counter>(backup, "ctr")->value(), 100);
+  const CheckpointSizes p = c.domain.engine(primary).checkpoint_sizes("ctr");
+  const CheckpointSizes b = c.domain.engine(backup).checkpoint_sizes("ctr");
+  EXPECT_LE(b.orb, p.orb);
+  // 16 ids of 24 bytes plus the two counts, at most.
+  EXPECT_LE(b.orb, 4u + 4u + 16u * 24u);
+}
+
+// A replica restored from a checkpoint forgets operation ids oldest first,
+// like its siblings. In id order it would drop every id of the
+// lowest-numbered client first, recent ones included, and a late retry of
+// such an operation would be logged again and re-executed at failover.
+TEST(StateTransfer, TransferredBackupForgetsOperationsOldestFirst) {
+  EngineParams ep;
+  ep.reply_log_capacity = 16;
+  Cluster c(5, 1, ep);
+  c.domain.host_on<Counter>(cfg("ctr", Style::WarmPassive), {0, 1});
+  ASSERT_TRUE(c.converge());
+  // 16 writes from two clients, alternating; the newest comes from node 2,
+  // the client whose ids sort first.
+  for (int i = 0; i < 8; ++i) {
+    c.invoke_i64(3, "ctr", "incr", 1);
+    c.invoke_i64(2, "ctr", "incr", 1);
+  }
+  OperationId newest;
+  newest.parent = GlobalSeq{0, 2 + 1};  // the client's synthetic parent
+  newest.op_seq = c.domain.client(2).next_op() - 1;
+
+  // Fail over first, so the donor knows these ids only as a former backup:
+  // its reply log cannot answer for them, only the id set can.
+  c.fabric.crash(0);
+  ASSERT_TRUE(c.converge());
+  c.domain.engine(4).host(cfg("ctr", Style::WarmPassive),
+                          std::make_shared<Counter>(), /*initial=*/false);
+  c.run(2 * kSecond);
+  ASSERT_TRUE(c.domain.engine(4).is_synced("ctr"));
+  for (int i = 0; i < 10; ++i) c.invoke_i64(3, "ctr", "incr", 1);
+
+  // A late retry of the newest pre-transfer operation.
+  Envelope retry;
+  retry.kind = Kind::Invocation;
+  retry.op_id = newest;
+  retry.target_group = "ctr";
+  retry.reply_group = c.domain.client(2).reply_group();
+  cdr::Encoder args;
+  args.put_longlong(1);
+  cdr::Writer w(c.domain.engine(2).group_layer().arena(), 256);
+  giop::encode_request_inline(w, static_cast<std::uint32_t>(newest.op_seq),
+                              /*response_expected=*/true, "ctr", "incr",
+                              nullptr, args.data());
+  retry.giop = w.seal();
+  const std::uint64_t dropped =
+      c.domain.engine(4).stats().duplicate_invocations_dropped;
+  c.domain.engine(2).send_invocation(retry, /*rank=*/0);
+  c.run(kSecond);
+  EXPECT_EQ(c.domain.engine(4).stats().duplicate_invocations_dropped,
+            dropped + 1);
+
+  // The transferred replica takes over without executing it again.
+  c.fabric.crash(1);
+  ASSERT_TRUE(c.converge());
+  c.run(kSecond);
+  EXPECT_EQ(c.replica<Counter>(4, "ctr")->value(), 26);
 }
 
 TEST(StateTransfer, SnapshotWaitsForSuspendedNestedExecution) {
