@@ -36,11 +36,11 @@ Result measure(bool suppression, int transfers) {
   c.net.reset_stats();
 
   for (int i = 0; i < transfers; ++i) {
-    cdr::Encoder args;
-    args.put_string("acct.a");
-    args.put_string("acct.b");
-    args.put_longlong(1);
-    c.timed_call(5, "teller", "transfer", args.take());
+    c.timed_call(5, "teller", "transfer", cdr::make_bytes([](cdr::Writer& w) {
+                   w.put_string("acct.a");
+                   w.put_string("acct.b");
+                   w.put_longlong(1);
+                 }));
   }
   c.settle();
 

@@ -23,10 +23,10 @@ struct Result {
 };
 
 cdr::Bytes put_arg(int i) {
-  cdr::Encoder enc;
-  enc.put_string("key" + std::to_string(i % 64));
-  enc.put_string(std::string(1024, 'v'));
-  return enc.take();
+  return cdr::make_bytes([i](cdr::Writer& w) {
+    w.put_string("key" + std::to_string(i % 64));
+    w.put_string(std::string(1024, 'v'));
+  });
 }
 
 Result measure(rep::Style style, int backlog_writes, std::uint64_t seed) {

@@ -17,24 +17,26 @@ using namespace eternal;
 namespace {
 
 void BM_CdrEncodePrimitives(benchmark::State& state) {
+  cdr::Arena arena;
   for (auto _ : state) {
-    cdr::Encoder enc;
+    cdr::Writer w(arena);
     for (int i = 0; i < 16; ++i) {
-      enc.put_ulong(static_cast<std::uint32_t>(i));
-      enc.put_ulonglong(static_cast<std::uint64_t>(i) << 32);
-      enc.put_double(1.5 * i);
+      w.put_ulong(static_cast<std::uint32_t>(i));
+      w.put_ulonglong(static_cast<std::uint64_t>(i) << 32);
+      w.put_double(1.5 * i);
     }
-    benchmark::DoNotOptimize(enc.data().data());
+    benchmark::DoNotOptimize(w.written().data());
   }
 }
 BENCHMARK(BM_CdrEncodePrimitives);
 
 void BM_CdrStringRoundTrip(benchmark::State& state) {
   const std::string s(static_cast<std::size_t>(state.range(0)), 'x');
+  cdr::Arena arena;
   for (auto _ : state) {
-    cdr::Encoder enc;
-    enc.put_string(s);
-    cdr::Decoder dec(enc.data());
+    cdr::Writer w(arena);
+    w.put_string(s);
+    cdr::Decoder dec(w.written());
     benchmark::DoNotOptimize(dec.get_string());
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));

@@ -32,16 +32,16 @@ int main() {
     c.domain.host_on<app::KvStore>(
         rep::GroupConfig{"kv", rep::Style::Active}, {0, 1});
     c.settle();
-    cdr::Encoder fill;
-    fill.put_ulonglong(entries);
-    fill.put_ulonglong(64);
-    c.domain.client(2).invoke_blocking("kv", "fill", fill.take(),
-                                       60 * sim::kSecond);
+    const cdr::Bytes fill = cdr::make_bytes([entries](cdr::Writer& w) {
+      w.put_ulonglong(entries);
+      w.put_ulonglong(64);
+    });
+    c.domain.client(2).invoke_blocking("kv", "fill", fill, 60 * sim::kSecond);
     for (int i = 0; i < 32; ++i) {
-      cdr::Encoder put;
-      put.put_string("k" + std::to_string(i));
-      put.put_string("v");
-      c.timed_call(2, "kv", "put", put.take());
+      c.timed_call(2, "kv", "put", cdr::make_bytes([i](cdr::Writer& w) {
+                     w.put_string("k" + std::to_string(i));
+                     w.put_string("v");
+                   }));
     }
     c.settle();
     const rep::CheckpointSizes s = c.domain.engine(0).checkpoint_sizes("kv");

@@ -30,11 +30,11 @@ Result measure(std::size_t entries, std::uint32_t chunk_bytes) {
       rep::GroupConfig{"kv", rep::Style::Active}, {0, 1});
   c.settle();
 
-  cdr::Encoder fill;
-  fill.put_ulonglong(entries);
-  fill.put_ulonglong(64);  // 64-byte values
-  c.domain.client(3).invoke_blocking("kv", "fill", fill.take(),
-                                     60 * sim::kSecond);
+  const cdr::Bytes fill = cdr::make_bytes([entries](cdr::Writer& w) {
+    w.put_ulonglong(entries);
+    w.put_ulonglong(64);  // 64-byte values
+  });
+  c.domain.client(3).invoke_blocking("kv", "fill", fill, 60 * sim::kSecond);
   c.settle();
   const std::size_t state_bytes =
       c.domain.engine(0).checkpoint_sizes("kv").application;
@@ -47,11 +47,11 @@ Result measure(std::size_t entries, std::uint32_t chunk_bytes) {
   util::Summary during;
   while (!c.domain.engine(2).is_synced("kv") &&
          c.sim.now() < join_at + 120 * sim::kSecond) {
-    cdr::Encoder put;
-    put.put_string("hot");
-    put.put_string("value");
     during.add(static_cast<double>(
-        c.timed_call(3, "kv", "put", put.take())));
+        c.timed_call(3, "kv", "put", cdr::make_bytes([](cdr::Writer& w) {
+                       w.put_string("hot");
+                       w.put_string("value");
+                     }))));
   }
   const double sync_ms =
       static_cast<double>(c.sim.now() - join_at) / sim::kMillisecond;

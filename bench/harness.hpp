@@ -106,15 +106,12 @@ struct FtCluster {
 };
 
 inline cdr::Bytes i64_arg(std::int64_t v) {
-  cdr::Encoder enc;
-  enc.put_longlong(v);
-  return enc.take();
+  return cdr::make_bytes([v](cdr::Writer& w) { w.put_longlong(v); });
 }
 
 inline cdr::Bytes payload_arg(std::size_t bytes) {
-  cdr::Encoder enc;
-  enc.put_octet_seq(cdr::Bytes(bytes, 0xAB));
-  return enc.take();
+  return cdr::make_bytes(
+      [bytes](cdr::Writer& w) { w.put_octet_seq(cdr::Bytes(bytes, 0xAB)); });
 }
 
 /// Markdown table printer.

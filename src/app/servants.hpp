@@ -23,7 +23,7 @@ class Counter : public rep::Replica {
   Counter();
   std::int64_t value() const noexcept { return value_; }
 
-  void get_state(cdr::Encoder& out) const override;
+  void get_state(cdr::Writer& out) const override;
   void set_state(cdr::Decoder& in) override;
 
  private:
@@ -35,7 +35,7 @@ class Counter : public rep::Replica {
 class Echo : public rep::Replica {
  public:
   Echo();
-  void get_state(cdr::Encoder& out) const override;
+  void get_state(cdr::Writer& out) const override;
   void set_state(cdr::Decoder& in) override;
 
  private:
@@ -49,7 +49,7 @@ class Account : public rep::Replica {
   Account();
   std::int64_t balance() const noexcept { return balance_; }
 
-  void get_state(cdr::Encoder& out) const override;
+  void get_state(cdr::Writer& out) const override;
   void set_state(cdr::Decoder& in) override;
 
  private:
@@ -64,7 +64,7 @@ class Teller : public rep::Replica {
   Teller();
   std::uint64_t transfers() const noexcept { return transfers_; }
 
-  void get_state(cdr::Encoder& out) const override;
+  void get_state(cdr::Writer& out) const override;
   void set_state(cdr::Decoder& in) override;
 
  private:
@@ -84,7 +84,7 @@ class Inventory : public rep::Replica {
   std::int64_t back_orders() const noexcept { return back_orders_; }
   std::int64_t rush_orders() const noexcept { return rush_orders_; }
 
-  void get_state(cdr::Encoder& out) const override;
+  void get_state(cdr::Writer& out) const override;
   void set_state(cdr::Decoder& in) override;
 
  private:
@@ -104,9 +104,9 @@ class KvStore : public rep::Replica {
   std::size_t size() const noexcept { return data_.size(); }
   const std::map<std::string, std::string>& data() const { return data_; }
 
-  void get_state(cdr::Encoder& out) const override;
+  void get_state(cdr::Writer& out) const override;
   void set_state(cdr::Decoder& in) override;
-  void get_update(const std::string& op, cdr::Encoder& out) const override;
+  void get_update(const std::string& op, cdr::Writer& out) const override;
   void apply_update(const std::string& op, cdr::Decoder& in) override;
 
  private:
@@ -122,7 +122,7 @@ class KvStore : public rep::Replica {
 class NondetProbe : public rep::Replica {
  public:
   NondetProbe();
-  void get_state(cdr::Encoder& out) const override;
+  void get_state(cdr::Writer& out) const override;
   void set_state(cdr::Decoder& in) override;
 
  private:

@@ -6,64 +6,6 @@
 
 namespace eternal::cdr {
 
-void Encoder::align(std::size_t alignment) {
-  const std::size_t misalign = (buf_.size() - origin_) % alignment;
-  if (misalign != 0) {
-    buf_.insert(buf_.end(), alignment - misalign, 0);
-  }
-}
-
-void Encoder::put_string(std::string_view s) {
-  if (s.size() + 1 > 0xffffffffULL) throw MarshalError("string too long");
-  put_ulong(static_cast<std::uint32_t>(s.size() + 1));
-  const auto* p = reinterpret_cast<const std::uint8_t*>(s.data());
-  buf_.insert(buf_.end(), p, p + s.size());
-  buf_.push_back(0);
-}
-
-void Encoder::put_octet_seq(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() > 0xffffffffULL) throw MarshalError("sequence too long");
-  put_ulong(static_cast<std::uint32_t>(bytes.size()));
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
-}
-
-void Encoder::put_raw(std::span<const std::uint8_t> bytes) {
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
-}
-
-void Encoder::put_encapsulation(const Encoder& inner) {
-  put_octet_seq(inner.data());
-}
-
-Encoder::Sequence Encoder::begin_octet_seq() {
-  put_ulong(0);  // backpatched by end_octet_seq
-  const Sequence s{buf_.size() - 4, origin_};
-  origin_ = buf_.size();
-  return s;
-}
-
-void Encoder::end_octet_seq(Sequence s) {
-  const std::size_t len = buf_.size() - (s.length_at + 4);
-  if (len > 0xffffffffULL) throw MarshalError("sequence too long");
-  const auto v = static_cast<std::uint32_t>(len);
-  overwrite(s.length_at, reinterpret_cast<const std::uint8_t*>(&v), sizeof v);
-  origin_ = s.prev_origin;
-}
-
-void Encoder::overwrite(std::size_t at, const std::uint8_t* bytes,
-                        std::size_t n) {
-  if (at > buf_.size() || n > buf_.size() - at) {
-    throw MarshalError("overwrite past end of stream");
-  }
-  std::memcpy(buf_.data() + at, bytes, n);
-}
-
-Encoder Encoder::make_encapsulation() {
-  Encoder e;
-  e.put_boolean(kHostLittleEndian);
-  return e;
-}
-
 void Writer::align(std::size_t alignment) {
   const std::size_t misalign = (len_ - origin_) % alignment;
   if (misalign != 0) {
@@ -104,29 +46,34 @@ Writer::Patch Writer::reserve_ulong() {
   return p;
 }
 
-void Writer::begin_encapsulation() {
-  if (depth_ == kMaxEncapDepth) {
-    throw MarshalError("encapsulations nested too deep");
+void Writer::patch_ulong_le(Patch p, std::uint32_t v) noexcept {
+  for (std::size_t i = 0; i < 4; ++i) {
+    base_[p.pos + i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
-  const Patch p = reserve_ulong();
-  encaps_[depth_++] = {p.pos, origin_};
-  // Alignment inside the encapsulation is relative to its first octet (the
-  // endianness flag), exactly as if it were built by a fresh inner Encoder.
-  origin_ = len_;
-  put_octet(kHostLittleEndian ? 1 : 0);
 }
 
-void Writer::end_encapsulation() {
-  if (depth_ == 0) throw MarshalError("end_encapsulation without begin");
-  const EncapFrame f = encaps_[--depth_];
-  patch_ulong(Patch{f.patch_pos},
-              static_cast<std::uint32_t>(len_ - (f.patch_pos + 4)));
-  origin_ = f.prev_origin;
+void Writer::begin_octet_seq() {
+  if (depth_ == kMaxDepth) throw MarshalError("sequences nested too deep");
+  const Patch p = reserve_ulong();
+  open_[depth_++] = {p.pos, origin_};
+  // Alignment inside the sequence is relative to its first octet, exactly
+  // as if its content were encoded in a frame of its own.
+  origin_ = len_;
+}
+
+std::uint32_t Writer::end_octet_seq() {
+  if (depth_ == 0) throw MarshalError("end_octet_seq without begin");
+  const OpenSeq s = open_[--depth_];
+  const std::size_t len = len_ - (s.patch_pos + 4);
+  if (len > 0xffffffffULL) throw MarshalError("sequence too long");
+  patch_ulong(Patch{s.patch_pos}, static_cast<std::uint32_t>(len));
+  origin_ = s.prev_origin;
+  return static_cast<std::uint32_t>(len);
 }
 
 WireBuf Writer::seal() {
   if (sealed_) throw MarshalError("Writer sealed twice");
-  if (depth_ != 0) throw MarshalError("seal with open encapsulation");
+  if (depth_ != 0) throw MarshalError("seal with an open sequence");
   sealed_ = true;
   return arena_.seal_frame(len_);
 }

@@ -39,108 +39,23 @@ class MarshalError : public std::runtime_error {
 
 constexpr bool kHostLittleEndian = (std::endian::native == std::endian::little);
 
-/// CDR encoder. The stream's alignment origin is the position at
-/// construction; GIOP bodies and encapsulations each start a fresh origin.
-class Encoder {
- public:
-  Encoder() = default;
-
-  const Bytes& data() const noexcept { return buf_; }
-  Bytes take() noexcept {
-    origin_ = 0;
-    return std::move(buf_);
-  }
-  std::size_t size() const noexcept { return buf_.size(); }
-  /// Forget the content but keep the capacity — pooled encoders (engine
-  /// execution results) reuse their allocation across operations.
-  void clear() noexcept {
-    buf_.clear();
-    origin_ = 0;
-  }
-  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
-  /// Replace `n` already-encoded bytes at offset `at` (backpatching a
-  /// header once the content behind it is known).
-  void overwrite(std::size_t at, const std::uint8_t* bytes, std::size_t n);
-
-  void align(std::size_t alignment);
-
-  void put_octet(std::uint8_t v) { buf_.push_back(v); }
-  void put_boolean(bool v) { put_octet(v ? 1 : 0); }
-  void put_char(char v) { put_octet(static_cast<std::uint8_t>(v)); }
-  void put_ushort(std::uint16_t v) { put_aligned(v); }
-  void put_short(std::int16_t v) { put_aligned(static_cast<std::uint16_t>(v)); }
-  void put_ulong(std::uint32_t v) { put_aligned(v); }
-  void put_long(std::int32_t v) { put_aligned(static_cast<std::uint32_t>(v)); }
-  void put_ulonglong(std::uint64_t v) { put_aligned(v); }
-  void put_longlong(std::int64_t v) {
-    put_aligned(static_cast<std::uint64_t>(v));
-  }
-  void put_float(float v) {
-    std::uint32_t bits;
-    std::memcpy(&bits, &v, 4);
-    put_aligned(bits);
-  }
-  void put_double(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, 8);
-    put_aligned(bits);
-  }
-
-  /// CDR string: ulong length including NUL, bytes, NUL.
-  void put_string(std::string_view s);
-
-  /// sequence<octet>: ulong count then raw bytes.
-  void put_octet_seq(std::span<const std::uint8_t> bytes);
-
-  /// Raw bytes with no count (caller manages framing).
-  void put_raw(std::span<const std::uint8_t> bytes);
-
-  /// An encapsulation is a sequence<octet> whose content is itself a CDR
-  /// stream beginning with a boolean endianness flag.
-  void put_encapsulation(const Encoder& inner);
-
-  /// Begin an encapsulation in-place: writes the endian flag into a fresh
-  /// encoder the caller fills and then passes to put_encapsulation.
-  static Encoder make_encapsulation();
-
-  /// An octet sequence encoded in place: begin_octet_seq reserves the
-  /// ulong length and restarts the alignment origin at the content's first
-  /// byte; end_octet_seq backpatches the length and restores the origin.
-  /// The bytes equal put_octet_seq of the same content encoded by a fresh
-  /// Encoder, without the intermediate buffer.
-  struct Sequence {
-    std::size_t length_at = 0;
-    std::size_t prev_origin = 0;
-  };
-  Sequence begin_octet_seq();
-  void end_octet_seq(Sequence s);
-
- private:
-  template <typename T>
-  void put_aligned(T v) {
-    align(sizeof(T));
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    buf_.insert(buf_.end(), p, p + sizeof(T));
-  }
-
-  Bytes buf_;
-  std::size_t origin_ = 0;  // alignment origin (current in-place sequence)
-};
-
-/// CDR writer encoding in place over an arena-backed frame. The hot-path
-/// replacement for Encoder: same put_* surface and identical bytes, but the
-/// destination is an Arena frame, growth is a slab upgrade instead of vector
-/// reallocation, and seal() hands back an immutable WireBuf (inline when
-/// small, refcounted slab reference when large).
+/// CDR encoder, writing in place over an arena-backed frame. The stream's
+/// alignment origin is the frame start; GIOP bodies (mark_origin), octet
+/// sequences and encapsulations written in place each start a fresh one.
+/// The destination is an Arena frame: growth is a slab upgrade, not a
+/// vector reallocation, and seal() hands back an immutable WireBuf (inline
+/// when small, a refcounted slab reference when large). Callers that only
+/// need the bytes read written() and let the frame go.
 ///
-/// Two affordances Encoder never had:
-///   * reserve_ulong()/patch_ulong() — reserve a length field up front and
-///     backpatch it after the content is written (GIOP message size, batch
-///     counts), killing the encode-then-copy-into-outer-frame pass.
-///   * begin_encapsulation()/end_encapsulation() — encapsulations written
-///     in place as sub-streams of the same frame (length backpatched, inner
-///     alignment relative to the endian flag), byte-identical to building an
-///     inner Encoder and passing it to put_encapsulation.
+/// Length fields can be written before the content they measure:
+///   * reserve_ulong()/patch_ulong() — reserve a field and backpatch it
+///     (GIOP message size, batch counts); patch_ulong_le() backpatches it
+///     little-endian whatever the host (the dur frame header).
+///   * begin_octet_seq()/end_octet_seq() — a sequence<octet> whose content
+///     is written in place, aligned relative to its first byte: the same
+///     bytes as put_octet_seq of that content encoded in a frame of its own.
+///   * begin_encapsulation() — the same, opened with the endian flag octet.
+/// In-place sequences nest up to four deep.
 ///
 /// One Writer may be open per Arena at a time; destroying an unsealed
 /// Writer abandons the frame.
@@ -209,10 +124,20 @@ class Writer {
     std::memcpy(base_ + p.pos, &v, 4);
   }
 
-  /// Opens an encapsulation in place: ulong length (backpatched on end),
-  /// endian flag octet, then content aligned relative to the flag.
-  void begin_encapsulation();
-  void end_encapsulation();
+  void patch_ulong_le(Patch p, std::uint32_t v) noexcept;
+
+  /// Opens a sequence<octet> written in place: ulong length (backpatched
+  /// by end_octet_seq, which returns it), then content aligned relative to
+  /// its first byte.
+  void begin_octet_seq();
+  std::uint32_t end_octet_seq();
+  /// Opens an encapsulation in place: an in-place octet sequence whose
+  /// first byte is the endian flag.
+  void begin_encapsulation() {
+    begin_octet_seq();
+    put_octet(kHostLittleEndian ? 1 : 0);
+  }
+  void end_encapsulation() { (void)end_octet_seq(); }
 
   /// Restarts the alignment origin at the current position. GIOP framing
   /// uses this: content after the fixed 12-byte header aligns as its own
@@ -240,16 +165,28 @@ class Writer {
   std::uint8_t* base_ = nullptr;
   std::size_t len_ = 0;
   std::size_t cap_ = 0;
-  std::size_t origin_ = 0;  // alignment origin (current encapsulation start)
-  struct EncapFrame {
+  std::size_t origin_ = 0;  // alignment origin (innermost open sequence)
+  struct OpenSeq {
     std::size_t patch_pos = 0;
     std::size_t prev_origin = 0;
   };
-  static constexpr std::size_t kMaxEncapDepth = 4;
-  std::array<EncapFrame, kMaxEncapDepth> encaps_{};
+  static constexpr std::size_t kMaxDepth = 4;
+  std::array<OpenSeq, kMaxDepth> open_{};
   std::size_t depth_ = 0;
   bool sealed_ = false;
 };
+
+/// One-shot encode for the cold edges that still traffic in Bytes (client
+/// arguments, file formats, tools): runs `fill` over a Writer on a local
+/// arena and returns a copy of what it wrote.
+template <class Fill>
+Bytes make_bytes(Fill&& fill) {
+  Arena arena;
+  Writer w(arena);
+  fill(w);
+  const std::span<const std::uint8_t> bytes = w.written();
+  return Bytes(bytes.begin(), bytes.end());
+}
 
 /// CDR decoder over a borrowed byte span. The decoder does not own the
 /// bytes; callers keep the backing buffer alive for the decoder's lifetime.
@@ -363,5 +300,10 @@ class Decoder {
   const WireBuf* src_ = nullptr;  // View mode: frame the span was taken from
   std::size_t src_off_ = 0;       // offset of data_[0] within *src_
 };
+
+/// The former name of Writer, kept only because the frozen perfbench
+/// workloads still spell a Replica::get_state parameter with it. Nothing
+/// else may name it; it goes with the next change to perfbench/.
+using Encoder = Writer;
 
 }  // namespace eternal::cdr

@@ -70,14 +70,15 @@ void NodeDurability::append(JournalRecord rec) {
   if (params_.sync_interval == 0) journal_.sync();
 }
 
-void NodeDurability::cut_checkpoint(CheckpointRecord rec) {
+void NodeDurability::cut_checkpoint(CheckpointRecord rec,
+                                    const BlobWriter& blob) {
   rec.position = journal_.next_index();
   if (meta_provider_) {
     const MetaSnapshot m = meta_provider_();
     rec.max_epoch = m.max_epoch;
     rec.client_next_op = m.client_next_op;
   }
-  if (!checkpoints_.save(rec)) {
+  if (!checkpoints_.save(rec, blob)) {
     append_failures_.inc();
     return;
   }
@@ -111,12 +112,13 @@ void NodeDurability::write_meta() {
     m.max_epoch = s.max_epoch;
     m.client_next_op = s.client_next_op;
   }
-  cdr::Encoder enc;
-  enc.reserve(8 + 2 * 8);  // frame header + two ulonglongs: one allocation
-  frame_begin(enc);
-  encode_meta_record_into(enc, m);
-  frame_end(enc);
-  disk_.write_file("meta", enc.take());
+  cdr::Arena arena;
+  cdr::Writer w(arena, 8 + 2 * 8);  // frame header + two ulonglongs
+  frame_begin(w);
+  encode_meta_record_into(w, m);
+  frame_end(w);
+  const std::span<const std::uint8_t> framed = w.written();
+  disk_.write_file("meta", sim::DiskBytes(framed.begin(), framed.end()));
 }
 
 void NodeDurability::on_crash(bool torn) {

@@ -111,8 +111,9 @@ class NodeDurability {
   /// Append one delivery (engine hook; buffered until the next sync).
   void append(JournalRecord rec);
   /// Persist one group checkpoint at the current journal position, retire
-  /// old versions, compact the journal, and sync everything.
-  void cut_checkpoint(CheckpointRecord rec);
+  /// old versions, compact the journal, and sync everything. `blob`, when
+  /// set, writes the checkpoint blob in place into the record's frame.
+  void cut_checkpoint(CheckpointRecord rec, const BlobWriter& blob = nullptr);
   /// Force the tail + meta durable now (tests, benches, orderly stop).
   void sync_now();
 

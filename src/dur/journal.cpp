@@ -81,16 +81,17 @@ void Journal::track(std::uint64_t index, std::size_t offset,
 bool Journal::append(JournalRecord& rec) {
   if (broken_) return false;
   rec.index = next_index_;
-  enc_.clear();
-  frame_begin(enc_);
-  encode_journal_record_into(enc_, rec);
-  frame_end(enc_);
-  if (!disk_.append(file_, enc_.data())) {
+  cdr::Writer w(arena_, 96 + rec.group.size() + rec.payload.size());
+  frame_begin(w);
+  encode_journal_record_into(w, rec);
+  frame_end(w);
+  const std::span<const std::uint8_t> frame = w.written();
+  if (!disk_.append(file_, frame.data(), frame.size())) {
     broken_ = true;  // disk full: the journal stops, the engine keeps going
     return false;
   }
   track(rec.index, end_, rec.group);
-  end_ += enc_.size();
+  end_ += frame.size();
   ++next_index_;
   return true;
 }
@@ -147,15 +148,18 @@ std::string CheckpointStore::file_name(const std::string& group,
   return "ckpt-" + group + tail;
 }
 
-bool CheckpointStore::save(const CheckpointRecord& rec) {
-  // Framed in place, then moved onto the disk: the blob is copied once.
-  cdr::Encoder enc;
-  enc.reserve(64 + rec.group.size() + rec.blob.size());
-  frame_begin(enc);
-  encode_checkpoint_record_into(enc, rec);
-  frame_end(enc);
+bool CheckpointStore::save(const CheckpointRecord& rec,
+                           const BlobWriter& blob) {
+  // Framed in place (a cut's blob is written straight into the frame), then
+  // copied onto the disk once.
+  cdr::Arena arena;
+  cdr::Writer w(arena, 64 + rec.group.size() + rec.blob.size());
+  frame_begin(w);
+  encode_checkpoint_record_into(w, rec, blob);
+  frame_end(w);
+  const std::span<const std::uint8_t> framed = w.written();
   if (!disk_.write_file(file_name(rec.group, rec.state_version),
-                        enc.take())) {
+                        sim::DiskBytes(framed.begin(), framed.end()))) {
     return false;
   }
   // Retire all but the two newest versions.

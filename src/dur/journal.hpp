@@ -104,7 +104,7 @@ class Journal {
   std::vector<Entry> entries_;     // retained frames, file order
   std::vector<GroupTape> groups_;  // few per node: searched linearly
   std::size_t end_ = 0;            // file size as this journal wrote it
-  cdr::Encoder enc_;               // reusable frame encoder
+  cdr::Arena arena_;               // frames appended records in place
 };
 
 class CheckpointStore {
@@ -114,8 +114,9 @@ class CheckpointStore {
   explicit CheckpointStore(sim::Disk& disk);
 
   /// Persist atomically and retire all but the two newest versions for
-  /// the group. Returns false when the disk is full.
-  bool save(const CheckpointRecord& rec);
+  /// the group; `blob`, when set, writes the blob in place (see
+  /// encode_checkpoint_record_into). Returns false when the disk is full.
+  bool save(const CheckpointRecord& rec, const BlobWriter& blob = nullptr);
 
   /// Newest checkpoint for `group` that passes its CRC; falls back to the
   /// previous one (bumping `*fallbacks`) when the newest is corrupt.

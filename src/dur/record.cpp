@@ -6,6 +6,8 @@ namespace eternal::dur {
 
 namespace {
 
+constexpr std::size_t kFrameHeader = 8;  // [u32 length][u32 crc32]
+
 // Slicing-by-8 tables: kCrc[0] is the classic byte table; kCrc[k][b] is
 // the CRC contribution of byte b followed by k zero bytes, so one step
 // folds eight input bytes with eight independent lookups.
@@ -55,7 +57,7 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t len) {
   return c ^ 0xFFFFFFFFu;
 }
 
-void encode_journal_record_into(cdr::Encoder& out, const JournalRecord& r) {
+void encode_journal_record_into(cdr::Writer& out, const JournalRecord& r) {
   out.put_ulonglong(r.index);
   out.put_ulonglong(r.carrier.epoch);
   out.put_ulonglong(r.carrier.seq);
@@ -83,8 +85,8 @@ JournalRecord decode_journal_record(cdr::Decoder& in) {
   return r;
 }
 
-void encode_checkpoint_record_into(cdr::Encoder& out,
-                                   const CheckpointRecord& r) {
+void encode_checkpoint_record_into(cdr::Writer& out, const CheckpointRecord& r,
+                                   const BlobWriter& blob) {
   out.put_string(r.group);
   out.put_octet(r.style);
   out.put_ulonglong(r.state_version);
@@ -92,7 +94,13 @@ void encode_checkpoint_record_into(cdr::Encoder& out,
   out.put_ulonglong(r.position);
   out.put_ulonglong(r.max_epoch);
   out.put_ulonglong(r.client_next_op);
-  out.put_octet_seq(r.blob);
+  out.begin_octet_seq();
+  if (blob) {
+    blob(out);
+  } else {
+    out.put_raw(r.blob);
+  }
+  out.end_octet_seq();
 }
 
 CheckpointRecord decode_checkpoint_record(cdr::Decoder& in) {
@@ -108,7 +116,7 @@ CheckpointRecord decode_checkpoint_record(cdr::Decoder& in) {
   return r;
 }
 
-void encode_meta_record_into(cdr::Encoder& out, const MetaRecord& r) {
+void encode_meta_record_into(cdr::Writer& out, const MetaRecord& r) {
   out.put_ulonglong(r.max_epoch);
   out.put_ulonglong(r.client_next_op);
 }
@@ -120,31 +128,16 @@ MetaRecord decode_meta_record(cdr::Decoder& in) {
   return r;
 }
 
-namespace {
-
-constexpr std::size_t kFrameHeader = 8;  // [u32 length][u32 crc32]
-
-void store_u32(std::uint8_t* at, std::uint32_t v) {
-  at[0] = static_cast<std::uint8_t>(v);
-  at[1] = static_cast<std::uint8_t>(v >> 8);
-  at[2] = static_cast<std::uint8_t>(v >> 16);
-  at[3] = static_cast<std::uint8_t>(v >> 24);
+void frame_begin(cdr::Writer& out) {
+  (void)out.reserve_ulong();  // length, filled by frame_end
+  (void)out.reserve_ulong();  // crc32, filled by frame_end
 }
 
-}  // namespace
-
-void frame_begin(cdr::Encoder& out) {
-  out.put_ulong(0);  // length, filled by frame_end
-  out.put_ulong(0);  // crc32, filled by frame_end
-}
-
-void frame_end(cdr::Encoder& out) {
-  const Bytes& framed = out.data();
+void frame_end(cdr::Writer& out) {
+  const std::span<const std::uint8_t> framed = out.written();
   const std::size_t len = framed.size() - kFrameHeader;
-  std::uint8_t header[kFrameHeader];
-  store_u32(header, static_cast<std::uint32_t>(len));
-  store_u32(header + 4, crc32(framed.data() + kFrameHeader, len));
-  out.overwrite(0, header, kFrameHeader);
+  out.patch_ulong_le({0}, static_cast<std::uint32_t>(len));
+  out.patch_ulong_le({4}, crc32(framed.data() + kFrameHeader, len));
 }
 
 bool frame_parse(const Bytes& data, std::size_t offset,

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "cdr/cdr.hpp"
@@ -66,23 +67,29 @@ struct MetaRecord {
   std::uint64_t client_next_op = 0;
 };
 
-void encode_journal_record_into(cdr::Encoder& out, const JournalRecord& r);
+/// Writes a checkpoint blob in place, inside the record being encoded.
+using BlobWriter = std::function<void(cdr::Writer&)>;
+
+void encode_journal_record_into(cdr::Writer& out, const JournalRecord& r);
 JournalRecord decode_journal_record(cdr::Decoder& in);
 
-void encode_checkpoint_record_into(cdr::Encoder& out,
-                                   const CheckpointRecord& r);
+/// The blob is `r.blob` or, when `blob` is set, what `blob` writes: a
+/// checkpoint cut encodes the engine state straight into the record
+/// instead of building it apart and copying it in.
+void encode_checkpoint_record_into(cdr::Writer& out, const CheckpointRecord& r,
+                                   const BlobWriter& blob = nullptr);
 CheckpointRecord decode_checkpoint_record(cdr::Decoder& in);
 
-void encode_meta_record_into(cdr::Encoder& out, const MetaRecord& r);
+void encode_meta_record_into(cdr::Writer& out, const MetaRecord& r);
 MetaRecord decode_meta_record(cdr::Decoder& in);
 
 /// Frame a record in place: frame_begin reserves the [u32 length][u32
-/// crc32] header (little-endian) in an empty encoder, the caller encodes
+/// crc32] header (little-endian) in an empty writer, the caller encodes
 /// the payload behind it (alignment is unchanged — the header is 8
-/// bytes), and frame_end fills the header in. The framed bytes stay in the
-/// encoder: append its data() or move them out with take().
-void frame_begin(cdr::Encoder& out);
-void frame_end(cdr::Encoder& out);
+/// bytes), and frame_end fills the header in. The framed bytes are the
+/// writer's written().
+void frame_begin(cdr::Writer& out);
+void frame_end(cdr::Writer& out);
 
 /// Parse the frame starting at `offset`. Returns true and sets
 /// `payload_offset`/`payload_len` when an intact, CRC-valid frame is

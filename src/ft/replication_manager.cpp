@@ -8,16 +8,19 @@
 namespace eternal::ft {
 
 cdr::Bytes Iogr::encode() const {
-  cdr::Encoder enc = cdr::Encoder::make_encapsulation();
-  enc.put_string(type_id);
-  enc.put_string(group);
-  enc.put_ulong(version);
-  enc.put_ulong(static_cast<std::uint32_t>(profiles.size()));
+  // An encapsulation's content: the endian flag, then the fields.
+  cdr::Arena arena;
+  cdr::Writer w(arena);
+  w.put_boolean(cdr::kHostLittleEndian);
+  w.put_string(type_id);
+  w.put_string(group);
+  w.put_ulong(version);
+  w.put_ulong(static_cast<std::uint32_t>(profiles.size()));
   for (const auto& p : profiles) {
-    enc.put_ulong(p.node);
-    enc.put_octet_seq(p.object_key);
+    w.put_ulong(p.node);
+    w.put_octet_seq(p.object_key);
   }
-  return enc.take();
+  return cdr::Bytes(w.written().begin(), w.written().end());
 }
 
 Iogr Iogr::decode(const cdr::Bytes& wire) {

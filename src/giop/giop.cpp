@@ -1,5 +1,7 @@
 #include "giop/giop.hpp"
 
+#include <algorithm>
+
 namespace eternal::giop {
 
 namespace {
@@ -18,7 +20,9 @@ std::vector<ServiceContext> decode_contexts(cdr::Decoder& dec) {
   const std::uint32_t n = dec.get_ulong();
   if (n > 1024) throw cdr::MarshalError("implausible service context count");
   std::vector<ServiceContext> ctxs;
-  ctxs.reserve(n);
+  // Each context is at least an id and a sequence length: never reserve
+  // more than the bytes left could hold.
+  ctxs.reserve(std::min<std::size_t>(n, dec.remaining() / 8));
   for (std::uint32_t i = 0; i < n; ++i) {
     ServiceContext c;
     c.context_id = dec.get_ulong();
@@ -42,17 +46,31 @@ cdr::Writer::Patch put_giop_header(cdr::Writer& w, MsgType type) {
   return size;
 }
 
+// Reply framing around a body that `put_body` writes in place, 8-aligned
+// relative to the byte after the GIOP header.
+template <class PutBody>
+void frame_reply(cdr::Writer& w, const ReplyHeader& hdr, PutBody&& put_body) {
+  const std::size_t start = w.size();
+  const cdr::Writer::Patch size = put_giop_header(w, MsgType::Reply);
+  encode_contexts(w, hdr.service_contexts);
+  w.put_ulong(hdr.request_id);
+  w.put_ulong(static_cast<std::uint32_t>(hdr.reply_status));
+  w.align(8);
+  put_body(w);
+  w.patch_ulong(size, static_cast<std::uint32_t>(w.size() - start - 12));
+}
+
 }  // namespace
 
+// The context data of both FT service contexts *is* an encapsulation's
+// content: the endian flag, then fields aligned relative to it.
 Bytes FtRequestContext::encode() const {
-  cdr::Encoder enc = cdr::Encoder::make_encapsulation();
-  enc.put_string(client_id);
-  enc.put_long(retention_id);
-  enc.put_ulonglong(expiration_time);
-  cdr::Encoder out;
-  // The context data *is* the encapsulation content.
-  out.put_raw(enc.data());
-  return out.take();
+  return cdr::make_bytes([this](cdr::Writer& w) {
+    w.put_boolean(cdr::kHostLittleEndian);
+    w.put_string(client_id);
+    w.put_long(retention_id);
+    w.put_ulonglong(expiration_time);
+  });
 }
 
 FtRequestContext FtRequestContext::decode(const cdr::WireBuf& data) {
@@ -67,11 +85,10 @@ FtRequestContext FtRequestContext::decode(const cdr::WireBuf& data) {
 }
 
 Bytes FtGroupVersionContext::encode() const {
-  cdr::Encoder enc = cdr::Encoder::make_encapsulation();
-  enc.put_ulong(object_group_ref_version);
-  cdr::Encoder out;
-  out.put_raw(enc.data());
-  return out.take();
+  return cdr::make_bytes([this](cdr::Writer& w) {
+    w.put_boolean(cdr::kHostLittleEndian);
+    w.put_ulong(object_group_ref_version);
+  });
 }
 
 FtGroupVersionContext FtGroupVersionContext::decode(const cdr::WireBuf& data) {
@@ -83,10 +100,10 @@ FtGroupVersionContext FtGroupVersionContext::decode(const cdr::WireBuf& data) {
   return ctx;
 }
 
-void SystemExceptionBody::encode(cdr::Encoder& enc) const {
-  enc.put_string(exception_id);
-  enc.put_ulong(minor_code);
-  enc.put_ulong(completion_status);
+void SystemExceptionBody::encode(cdr::Writer& w) const {
+  w.put_string(exception_id);
+  w.put_ulong(minor_code);
+  w.put_ulong(completion_status);
 }
 
 SystemExceptionBody SystemExceptionBody::decode(cdr::Decoder& dec) {
@@ -144,14 +161,15 @@ void encode_request_inline(cdr::Writer& w, std::uint32_t request_id,
 
 void encode_reply_into(cdr::Writer& w, const ReplyHeader& hdr,
                        std::span<const std::uint8_t> body) {
-  const std::size_t start = w.size();
-  const cdr::Writer::Patch size = put_giop_header(w, MsgType::Reply);
-  encode_contexts(w, hdr.service_contexts);
-  w.put_ulong(hdr.request_id);
-  w.put_ulong(static_cast<std::uint32_t>(hdr.reply_status));
-  w.align(8);
-  w.put_raw(body);
-  w.patch_ulong(size, static_cast<std::uint32_t>(w.size() - start - 12));
+  frame_reply(w, hdr, [body](cdr::Writer& out) { out.put_raw(body); });
+}
+
+void encode_exception_reply_into(cdr::Writer& w, std::uint32_t request_id,
+                                 const SystemExceptionBody& body) {
+  ReplyHeader hdr;
+  hdr.request_id = request_id;
+  hdr.reply_status = ReplyStatus::SystemException;
+  frame_reply(w, hdr, [&body](cdr::Writer& out) { body.encode(out); });
 }
 
 Message decode(const cdr::WireBuf& wire) {

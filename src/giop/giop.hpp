@@ -91,7 +91,7 @@ struct SystemExceptionBody {
   std::uint32_t minor_code = 0;
   std::uint32_t completion_status = 0;  // 0=yes, 1=no, 2=maybe
 
-  void encode(cdr::Encoder& enc) const;
+  void encode(cdr::Writer& enc) const;
   static SystemExceptionBody decode(cdr::Decoder& dec);
   bool operator==(const SystemExceptionBody&) const = default;
 };
@@ -136,6 +136,10 @@ void encode_request_into(cdr::Writer& w, const RequestHeader& hdr,
                          std::span<const std::uint8_t> body);
 void encode_reply_into(cdr::Writer& w, const ReplyHeader& hdr,
                        std::span<const std::uint8_t> body);
+/// A SYSTEM_EXCEPTION reply with no service contexts, its body marshaled
+/// in place.
+void encode_exception_reply_into(cdr::Writer& w, std::uint32_t request_id,
+                                 const SystemExceptionBody& body);
 
 /// Client hot path: frame a request without materialising a RequestHeader —
 /// object key and operation are written straight from views, and the

@@ -16,19 +16,19 @@ namespace {
 constexpr std::uint32_t kMagic = 0x45544652;  // "ETFR"
 constexpr std::uint32_t kVersion = 1;
 
-void put_record(cdr::Encoder& enc, const FlightRecord& r) {
-  enc.put_ulonglong(r.time);
-  enc.put_ulonglong(r.end);
-  enc.put_ulong(r.node);
-  enc.put_octet(static_cast<std::uint8_t>(r.stream));
-  enc.put_octet(r.kind);
-  enc.put_ulonglong(r.op.parent_epoch);
-  enc.put_ulonglong(r.op.parent_seq);
-  enc.put_ulonglong(r.op.op_seq);
-  enc.put_ulonglong(r.trace_id);
-  enc.put_ulonglong(r.span_id);
-  enc.put_ulonglong(r.parent_span);
-  enc.put_string(r.detail_str());
+void put_record(cdr::Writer& w, const FlightRecord& r) {
+  w.put_ulonglong(r.time);
+  w.put_ulonglong(r.end);
+  w.put_ulong(r.node);
+  w.put_octet(static_cast<std::uint8_t>(r.stream));
+  w.put_octet(r.kind);
+  w.put_ulonglong(r.op.parent_epoch);
+  w.put_ulonglong(r.op.parent_seq);
+  w.put_ulonglong(r.op.op_seq);
+  w.put_ulonglong(r.trace_id);
+  w.put_ulonglong(r.span_id);
+  w.put_ulonglong(r.parent_span);
+  w.put_string(r.detail_str());
 }
 
 FlightRecord get_record(cdr::Decoder& dec) {
@@ -191,18 +191,19 @@ std::vector<FlightRecord> FlightRecorder::records() const {
 }
 
 std::vector<std::uint8_t> FlightRecorder::encode() const {
-  cdr::Encoder enc;
-  enc.put_ulong(kMagic);
-  enc.put_ulong(kVersion);
-  enc.put_ulong(static_cast<std::uint32_t>(rings_.size()));
+  cdr::Arena arena;
+  cdr::Writer w(arena);
+  w.put_ulong(kMagic);
+  w.put_ulong(kVersion);
+  w.put_ulong(static_cast<std::uint32_t>(rings_.size()));
   for (const auto& [node, ring] : rings_) {
-    enc.put_ulong(node);
-    enc.put_ulonglong(ring.total);
+    w.put_ulong(node);
+    w.put_ulonglong(ring.total);
     const std::vector<FlightRecord> recs = ring_records(ring);
-    enc.put_ulong(static_cast<std::uint32_t>(recs.size()));
-    for (const FlightRecord& r : recs) put_record(enc, r);
+    w.put_ulong(static_cast<std::uint32_t>(recs.size()));
+    for (const FlightRecord& r : recs) put_record(w, r);
   }
-  return enc.take();
+  return std::vector<std::uint8_t>(w.written().begin(), w.written().end());
 }
 
 std::vector<FlightRecord> FlightRecorder::decode(

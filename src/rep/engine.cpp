@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 #include "dur/durability.hpp"
 #include "obs/journal.hpp"
@@ -107,7 +108,11 @@ struct Engine::Execution {
   Envelope invocation;   // the envelope that started this execution
   GlobalSeq carrier;     // total-order position of that envelope
   giop::Message request; // parsed GIOP request (slices the invocation frame)
-  cdr::Encoder out;
+  /// The servant's result is written into a frame of the execution's own
+  /// arena: an async servant keeps it open while suspended, and meanwhile
+  /// the node arena frames other traffic.
+  cdr::Arena result_arena{std::size_t{1} << 12};
+  std::optional<cdr::Writer> out;
   std::unique_ptr<orb::InvokerContext> ctx;
   orb::Task task;
   std::uint64_t next_op_seq = 1;
@@ -117,11 +122,13 @@ struct Engine::Execution {
   std::uint64_t span_id = 0;     // ExecStart span; parents nested invokes
   std::uint64_t exec_begin = 0;  // sim time execution started
 
-  explicit Execution(const OperationId& id) : rng(id.hash()) {}
+  explicit Execution(const OperationId& id) : rng(id.hash()) {
+    out.emplace(result_arena);
+  }
 
   /// Re-arm a parked execution for a new operation. The heap-backed pieces
-  /// (result encoder, strings, context) keep their allocations; frame
-  /// references were dropped when the execution was released.
+  /// (result arena slab, strings, context) are kept; frame references were
+  /// dropped when the execution was released.
   void reinit(const OperationId& id) {
     op_id = OperationId{};
     next_op_seq = 1;
@@ -130,7 +137,7 @@ struct Engine::Execution {
     op_name.clear();
     span_id = 0;
     exec_begin = 0;
-    out.clear();
+    out.emplace(result_arena);  // abandons the previous result frame
   }
 };
 
@@ -379,8 +386,10 @@ void Engine::cut_checkpoint(LocalGroup& g) {
   rec.style = static_cast<std::uint8_t>(g.cfg.style);
   rec.state_version = g.state_version;
   rec.digest = digest;
-  rec.blob = encode_checkpoint(g, nullptr);
-  durability_->cut_checkpoint(std::move(rec));
+  // The blob is encoded straight into the checkpoint record's frame.
+  durability_->cut_checkpoint(std::move(rec), [this, &g](cdr::Writer& out) {
+    encode_checkpoint(g, out, nullptr);
+  });
   g.last_checkpoint_version = g.state_version;
   g.checkpoint_due = false;
   journal(obs::EventKind::CheckpointCut, g.cfg.name,
@@ -434,7 +443,11 @@ std::size_t Engine::fulfillment_backlog(const std::string& group) const {
 CheckpointSizes Engine::checkpoint_sizes(const std::string& group) const {
   CheckpointSizes sizes;
   auto it = local_.find(group);
-  if (it != local_.end()) encode_checkpoint(it->second, &sizes);
+  if (it != local_.end()) {
+    cdr::Arena arena;
+    cdr::Writer out(arena);
+    encode_checkpoint(it->second, out, &sizes);
+  }
   return sizes;
 }
 
@@ -698,8 +711,9 @@ std::unique_ptr<Engine::Execution> Engine::acquire_execution(
 }
 
 void Engine::release_execution(std::unique_ptr<Execution> ex) {
-  // Drop every frame reference so a parked execution pins no slabs; the
-  // string and vector capacities stay for the next operation.
+  // Drop every frame reference so a parked execution pins no slab but its
+  // result arena's own; string and vector capacities stay for the next
+  // operation.
   ex->invocation.giop = cdr::WireBuf();
   ex->invocation.update = cdr::WireBuf();
   ex->invocation.blob = cdr::WireBuf();
@@ -756,7 +770,7 @@ void Engine::start_execution(LocalGroup& g, const Envelope& env,
   std::exception_ptr dispatch_error;
   try {
     cdr::Decoder args(ex.request.body);
-    ex.task = g.replica->dispatch(ex.op_name, *ex.ctx, args, ex.out);
+    ex.task = g.replica->dispatch(ex.op_name, *ex.ctx, args, *ex.out);
   } catch (...) {
     dispatch_error = std::current_exception();
   }
@@ -798,7 +812,7 @@ void Engine::finish_execution(LocalGroup& g, Execution& ex,
                                orb::Completion::Maybe));
     }
   } else {
-    reply = orb::make_success_reply(arena, request_id, ex.out.data());
+    reply = orb::make_success_reply(arena, request_id, ex.out->written());
   }
 
   counters_.invocations_executed.inc();
@@ -838,9 +852,9 @@ void Engine::finish_execution(LocalGroup& g, Execution& ex,
     up.operation = ex.op_name;
     up.trace_id = ex.invocation.trace_id;
     up.parent_span = ex.span_id;
-    cdr::Encoder update;
+    cdr::Writer update(groups_.arena());
     g.replica->get_update(ex.op_name, update);
-    up.update = cdr::WireBuf(update.data());
+    up.update = update.seal();
     send_envelope(g.cfg.name, up);
   }
 
@@ -1483,7 +1497,10 @@ void Engine::serve_snapshot(LocalGroup& g, std::uint32_t joiner,
   // "transfer while operating" requirement — and ops that complete between
   // the marker and a deferred cut are safe: their replies ride in the
   // snapshot's reply log, so the joiner suppresses its buffered copies.
-  Bytes blob = encode_checkpoint(g, nullptr);
+  cdr::Arena arena;  // the node arena frames the chunk envelopes below
+  cdr::Writer snapshot(arena);
+  encode_checkpoint(g, snapshot, nullptr);
+  const std::span<const std::uint8_t> blob = snapshot.written();
   counters_.snapshots_served.inc();
   const std::uint32_t chunk = params_.snapshot_chunk_bytes;
   const std::uint32_t count =
@@ -1640,26 +1657,20 @@ void Engine::handle_state_digest(LocalGroup& g, const Envelope& env) {
   if (divergence_observer_) divergence_observer_(*report);
 }
 
-Bytes Engine::encode_checkpoint(const LocalGroup& g,
-                                CheckpointSizes* sizes) const {
-  // Three tiers, each an octet sequence encoded in place in one buffer
-  // (same bytes as encoding each into its own stream and copying it in).
-  cdr::Encoder out;
-  const auto end_tier = [&out](cdr::Encoder::Sequence tier) {
-    out.end_octet_seq(tier);
-    return out.size() - (tier.length_at + 4);  // content bytes
-  };
+void Engine::encode_checkpoint(const LocalGroup& g, cdr::Writer& out,
+                               CheckpointSizes* sizes) const {
+  // Three tiers, each an octet sequence written in place.
 
   // Tier 1: application state.
-  cdr::Encoder::Sequence tier = out.begin_octet_seq();
+  out.begin_octet_seq();
   g.replica->get_state(out);
-  const std::size_t application = end_tier(tier);
+  const std::size_t application = out.end_octet_seq();
 
   // Tier 2: ORB state — the reply log and executed-operation set, both
   // oldest first so a restored replica evicts them in the same order as
   // its siblings; without them it would re-execute or fail to answer
   // retries.
-  tier = out.begin_octet_seq();
+  out.begin_octet_seq();
   out.put_ulong(static_cast<std::uint32_t>(g.reply_log_order.size()));
   for (const auto& entry : g.reply_log_order) {
     const OperationId& op = entry->first;
@@ -1675,28 +1686,30 @@ Bytes Engine::encode_checkpoint(const LocalGroup& g,
     out.put_ulonglong(op.parent.seq);
     out.put_ulonglong(op.op_seq);
   }
-  const std::size_t orb = end_tier(tier);
+  const std::size_t orb = out.end_octet_seq();
 
-  // Tier 3: infrastructure state — versions, the passive invocation log,
-  // and the synced set.
-  tier = out.begin_octet_seq();
+  // Tier 3: infrastructure state — versions, the passive invocation log
+  // (each envelope written in place as an octet sequence), and the synced
+  // set.
+  out.begin_octet_seq();
   out.put_ulonglong(g.state_version);
   out.put_ulong(static_cast<std::uint32_t>(g.invocation_log.size()));
   for (const auto& logged : g.invocation_log) {
-    out.put_octet_seq(encode(logged.env));
+    out.begin_octet_seq();
+    encode_envelope_into(out, logged.env);
+    out.end_octet_seq();
     out.put_ulonglong(logged.carrier.epoch);
     out.put_ulonglong(logged.carrier.seq);
   }
   out.put_ulong(static_cast<std::uint32_t>(g.synced_set.size()));
   for (NodeId n : g.synced_set) out.put_ulong(n);
-  const std::size_t infrastructure = end_tier(tier);
+  const std::size_t infrastructure = out.end_octet_seq();
 
   if (sizes) {
     sizes->application = application;
     sizes->orb = orb;
     sizes->infrastructure = infrastructure;
   }
-  return out.take();
 }
 
 void Engine::apply_checkpoint(LocalGroup& g, const Bytes& blob) {

@@ -386,7 +386,8 @@ class Engine {
   void replay_fulfillment(LocalGroup& g);
 
   // --- state transfer ---
-  Bytes encode_checkpoint(const LocalGroup& g, CheckpointSizes* sizes) const;
+  void encode_checkpoint(const LocalGroup& g, cdr::Writer& out,
+                         CheckpointSizes* sizes) const;
   void apply_checkpoint(LocalGroup& g, const Bytes& blob);
   void serve_snapshot(LocalGroup& g, std::uint32_t joiner,
                       std::uint32_t round);
@@ -415,8 +416,8 @@ class Engine {
 
   // --- execution pooling ---
   /// A parked Execution re-armed for `id`, or a fresh one if the pool is
-  /// empty. Steady-state operations recycle the encoder, context and string
-  /// allocations instead of heap-allocating per invocation.
+  /// empty. Steady-state operations recycle the result arena, context and
+  /// string allocations instead of heap-allocating per invocation.
   std::unique_ptr<Execution> acquire_execution(const OperationId& id);
   /// Drops the execution's frame references (so it pins no slabs while
   /// parked) and returns it to the pool.

@@ -27,20 +27,16 @@ namespace eternal::rep {
 namespace stub_detail {
 
 // --- argument encoding (one overload per IDL-ish parameter type) ----------
-inline void put_arg(cdr::Encoder& enc, std::int64_t v) { enc.put_longlong(v); }
-inline void put_arg(cdr::Encoder& enc, std::uint64_t v) {
-  enc.put_ulonglong(v);
-}
-inline void put_arg(cdr::Encoder& enc, std::int32_t v) { enc.put_long(v); }
-inline void put_arg(cdr::Encoder& enc, std::uint32_t v) { enc.put_ulong(v); }
-inline void put_arg(cdr::Encoder& enc, bool v) { enc.put_boolean(v); }
-inline void put_arg(cdr::Encoder& enc, double v) { enc.put_double(v); }
-inline void put_arg(cdr::Encoder& enc, const std::string& v) {
-  enc.put_string(v);
-}
-inline void put_arg(cdr::Encoder& enc, const char* v) { enc.put_string(v); }
-inline void put_arg(cdr::Encoder& enc, const cdr::Bytes& v) {
-  enc.put_octet_seq(v);
+inline void put_arg(cdr::Writer& w, std::int64_t v) { w.put_longlong(v); }
+inline void put_arg(cdr::Writer& w, std::uint64_t v) { w.put_ulonglong(v); }
+inline void put_arg(cdr::Writer& w, std::int32_t v) { w.put_long(v); }
+inline void put_arg(cdr::Writer& w, std::uint32_t v) { w.put_ulong(v); }
+inline void put_arg(cdr::Writer& w, bool v) { w.put_boolean(v); }
+inline void put_arg(cdr::Writer& w, double v) { w.put_double(v); }
+inline void put_arg(cdr::Writer& w, const std::string& v) { w.put_string(v); }
+inline void put_arg(cdr::Writer& w, const char* v) { w.put_string(v); }
+inline void put_arg(cdr::Writer& w, const cdr::Bytes& v) {
+  w.put_octet_seq(v);
 }
 
 // --- reply decoding -------------------------------------------------------
@@ -97,9 +93,7 @@ inline void decode_reply<void>(const cdr::Bytes&) {}
 
 template <typename... Args>
 cdr::Bytes encode_args(const Args&... args) {
-  cdr::Encoder enc;
-  (put_arg(enc, args), ...);
-  return enc.take();
+  return cdr::make_bytes([&](cdr::Writer& w) { (put_arg(w, args), ...); });
 }
 
 }  // namespace stub_detail

@@ -15,9 +15,7 @@ namespace {
 constexpr std::uint64_t kWorkloadSalt = 0x776f726b6c6f6164ULL;  // "workload"
 
 cdr::Bytes incr_arg() {
-  cdr::Encoder enc;
-  enc.put_longlong(1);
-  return enc.take();
+  return cdr::make_bytes([](cdr::Writer& w) { w.put_longlong(1); });
 }
 
 }  // namespace
@@ -125,11 +123,14 @@ void WorkloadGen::fire(std::size_t i) {
         // an occasional NO_FUNDS still surfaces as a carried exception,
         // which is part of the point (exceptions through nested replay).
         const bool forward = rng_.chance(0.5);
-        cdr::Encoder enc;
-        enc.put_string(params_.nested_accounts[forward ? 0 : 1]);
-        enc.put_string(params_.nested_accounts[forward ? 1 : 0]);
-        enc.put_longlong(1);
-        return c.invoke(params_.nested_group, "transfer", enc.take());
+        return c.invoke(params_.nested_group, "transfer",
+                        cdr::make_bytes([&](cdr::Writer& w) {
+                          w.put_string(
+                              params_.nested_accounts[forward ? 0 : 1]);
+                          w.put_string(
+                              params_.nested_accounts[forward ? 1 : 0]);
+                          w.put_longlong(1);
+                        }));
       }
       const std::string& group = groups_[pick_group()];
       const bool read = rng_.chance(params_.read_fraction);

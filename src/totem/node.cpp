@@ -31,7 +31,9 @@ NodeCounters::NodeCounters(obs::Registry& reg, NodeId id)
       views_installed(
           reg.counter(obs::node_metric("totem", "views_installed", id))),
       batch_frames(
-          reg.counter(obs::node_metric("totem", "batch_frames", id))) {}
+          reg.counter(obs::node_metric("totem", "batch_frames", id))),
+      malformed_dropped(
+          reg.counter(obs::node_metric("totem", "malformed_dropped", id))) {}
 
 void NodeCounters::reset() noexcept {
   broadcasts.reset();
@@ -41,13 +43,14 @@ void NodeCounters::reset() noexcept {
   token_losses.reset();
   views_installed.reset();
   batch_frames.reset();
+  malformed_dropped.reset();
 }
 
 NodeStats NodeCounters::snapshot() const noexcept {
   return NodeStats{broadcasts.value(),   delivered.value(),
                    retransmissions.value(), token_visits.value(),
                    token_losses.value(), views_installed.value(),
-                   batch_frames.value()};
+                   batch_frames.value(), malformed_dropped.value()};
 }
 
 Node::Node(sim::Simulation& sim, sim::Network& net, NodeId id, Params params)
@@ -120,7 +123,14 @@ void Node::on_receive(NodeId /*from*/, const sim::Frame& wire) {
   // lint: hotpath — every datagram enters here. The scratch Packet reuses
   // its vectors' capacity across frames; payloads are slices of `wire`.
   if (state_ == State::Down) return;
-  decode_packet_into(rx_pkt_, wire);
+  try {
+    decode_packet_into(rx_pkt_, wire);
+  } catch (const cdr::MarshalError&) {
+    // A corrupt or hostile datagram stops here: dropped and counted, never
+    // thrown past the ring.
+    counters_.malformed_dropped.inc();
+    return;
+  }
   switch (rx_pkt_.kind) {
     case MsgKind::Data: handle_data(rx_pkt_.data); break;
     case MsgKind::Batch: handle_batch(rx_pkt_.batch); break;

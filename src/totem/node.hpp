@@ -105,6 +105,7 @@ struct NodeStats {
   std::uint64_t token_losses = 0;
   std::uint64_t views_installed = 0;
   std::uint64_t batch_frames = 0;  // Batch frames sent (>= 2 msgs each)
+  std::uint64_t malformed_dropped = 0;  // undecodable frames received
 };
 
 /// Stable handles into the registry for the node's hot-path counters,
@@ -117,6 +118,7 @@ struct NodeCounters {
   obs::Counter& token_losses;
   obs::Counter& views_installed;
   obs::Counter& batch_frames;
+  obs::Counter& malformed_dropped;
 
   NodeCounters(obs::Registry& reg, NodeId id);
   void reset() noexcept;

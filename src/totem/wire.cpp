@@ -1,5 +1,7 @@
 #include "totem/wire.hpp"
 
+#include <algorithm>
+
 namespace eternal::totem {
 
 namespace {
@@ -21,11 +23,19 @@ void put_nodes(cdr::Writer& w, const std::vector<NodeId>& nodes) {
   for (NodeId n : nodes) w.put_ulong(n);
 }
 
+// A count field is only a claim: reserve no more elements than the bytes
+// left could hold at `min_bytes` each, so a hostile count cannot allocate
+// before the underflow exposes it.
+std::size_t bounded(std::uint32_t n, const cdr::Decoder& dec,
+                    std::size_t min_bytes) {
+  return std::min<std::size_t>(n, dec.remaining() / min_bytes);
+}
+
 void get_nodes(cdr::Decoder& dec, std::vector<NodeId>& nodes) {
   const std::uint32_t n = dec.get_ulong();
   if (n > 65536) throw cdr::MarshalError("implausible node list");
   nodes.clear();
-  nodes.reserve(n);
+  nodes.reserve(bounded(n, dec, 4));
   for (std::uint32_t i = 0; i < n; ++i) nodes.push_back(dec.get_ulong());
 }
 
@@ -38,7 +48,7 @@ void get_seqs(cdr::Decoder& dec, std::vector<std::uint64_t>& seqs) {
   const std::uint32_t n = dec.get_ulong();
   if (n > 1 << 20) throw cdr::MarshalError("implausible seq list");
   seqs.clear();
-  seqs.reserve(n);
+  seqs.reserve(bounded(n, dec, 8));
   for (std::uint32_t i = 0; i < n; ++i) seqs.push_back(dec.get_ulonglong());
 }
 
@@ -112,7 +122,8 @@ void decode_batch_from(cdr::Decoder& dec, BatchMsg& b) {
   const std::uint32_t n = dec.get_ulong();
   if (n > 65536) throw cdr::MarshalError("implausible batch size");
   b.msgs.clear();
-  b.msgs.reserve(n);
+  // seq, flags, the shortest group tag (length, 'g', NUL), payload length.
+  b.msgs.reserve(bounded(n, dec, 8 + 1 + 6 + 4));
   for (std::uint32_t i = 0; i < n; ++i) {
     DataMsg d;
     d.ring = b.ring;

@@ -13,26 +13,25 @@ cdr::Bytes call(rep::Replica& servant, const std::string& op,
                 const cdr::Bytes& args) {
   PlainContext ctx(100, 1);
   cdr::Decoder in(args);
-  cdr::Encoder out;
+  cdr::Arena arena;
+  cdr::Writer out(arena);
   orb::Task t = servant.dispatch(op, ctx, in, out);
   EXPECT_TRUE(t.done());
   std::exception_ptr failure;
   t.on_complete([&](std::exception_ptr e) { failure = e; });
   if (failure) std::rethrow_exception(failure);
-  return out.take();
+  return cdr::Bytes(out.written().begin(), out.written().end());
 }
 
 cdr::Bytes i64(std::int64_t v) {
-  cdr::Encoder enc;
-  enc.put_longlong(v);
-  return enc.take();
+  return cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_longlong(v);
+  });
 }
 
 template <typename T>
 cdr::Bytes state_of(const T& servant) {
-  cdr::Encoder enc;
-  servant.get_state(enc);
-  return enc.take();
+  return cdr::make_bytes([&](cdr::Writer& w) { servant.get_state(w); });
 }
 
 TEST(CounterServant, IncrSetGet) {
@@ -99,19 +98,22 @@ TEST(InventoryServant, StateRoundTrip) {
 
 TEST(KvServant, PutGetDel) {
   KvStore kv;
-  cdr::Encoder put;
-  put.put_string("k");
-  put.put_string("v");
-  call(kv, "put", put.take());
-  cdr::Encoder get;
-  get.put_string("k");
-  const cdr::Bytes r_bytes = call(kv, "get", get.take());
+  const cdr::Bytes put = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_string("k");
+    w.put_string("v");
+  });
+  call(kv, "put", put);
+  const cdr::Bytes get = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_string("k");
+  });
+  const cdr::Bytes r_bytes = call(kv, "get", get);
   cdr::Decoder r(r_bytes);
   EXPECT_TRUE(r.get_boolean());
   EXPECT_EQ(r.get_string(), "v");
-  cdr::Encoder del;
-  del.put_string("k");
-  const cdr::Bytes d_bytes = call(kv, "del", del.take());
+  const cdr::Bytes del = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_string("k");
+  });
+  const cdr::Bytes d_bytes = call(kv, "del", del);
   cdr::Decoder d(d_bytes);
   EXPECT_TRUE(d.get_boolean());
   EXPECT_EQ(kv.size(), 0u);
@@ -121,25 +123,25 @@ TEST(KvServant, IncrementalUpdateShipsOnlyTouchedKey) {
   KvStore primary, backup;
   // Build identical base state.
   for (auto* kv : {&primary, &backup}) {
-    cdr::Encoder fill;
-    fill.put_ulonglong(100);
-    fill.put_ulonglong(32);
-    call(*kv, "fill", fill.take());
+    const cdr::Bytes fill = cdr::make_bytes([&](cdr::Writer& w) {
+      w.put_ulonglong(100);
+      w.put_ulonglong(32);
+    });
+    call(*kv, "fill", fill);
   }
   // Mutate the primary; ship the postimage to the backup.
-  cdr::Encoder put;
-  put.put_string("hot");
-  put.put_string("new-value");
-  call(primary, "put", put.take());
+  const cdr::Bytes put = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_string("hot");
+    w.put_string("new-value");
+  });
+  call(primary, "put", put);
 
-  cdr::Encoder update;
-  primary.get_update("put", update);
+  const cdr::Bytes update = cdr::make_bytes(
+      [&](cdr::Writer& w) { primary.get_update("put", w); });
   // Incremental: far smaller than the full state.
-  cdr::Encoder full;
-  primary.get_state(full);
-  EXPECT_LT(update.size(), full.size() / 10);
+  EXPECT_LT(update.size(), state_of(primary).size() / 10);
 
-  cdr::Decoder dec(update.data());
+  cdr::Decoder dec(update);
   backup.apply_update("put", dec);
   EXPECT_EQ(backup.data(), primary.data());
 }
@@ -147,30 +149,33 @@ TEST(KvServant, IncrementalUpdateShipsOnlyTouchedKey) {
 TEST(KvServant, IncrementalDeleteUpdate) {
   KvStore primary, backup;
   for (auto* kv : {&primary, &backup}) {
-    cdr::Encoder put;
-    put.put_string("k");
-    put.put_string("v");
-    call(*kv, "put", put.take());
+    const cdr::Bytes put = cdr::make_bytes([&](cdr::Writer& w) {
+      w.put_string("k");
+      w.put_string("v");
+    });
+    call(*kv, "put", put);
   }
-  cdr::Encoder del;
-  del.put_string("k");
-  call(primary, "del", del.take());
-  cdr::Encoder update;
-  primary.get_update("del", update);
-  cdr::Decoder dec(update.data());
+  const cdr::Bytes del = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_string("k");
+  });
+  call(primary, "del", del);
+  const cdr::Bytes update = cdr::make_bytes(
+      [&](cdr::Writer& w) { primary.get_update("del", w); });
+  cdr::Decoder dec(update);
   backup.apply_update("del", dec);
   EXPECT_EQ(backup.size(), 0u);
 }
 
 TEST(KvServant, FillShipsFullState) {
   KvStore primary, backup;
-  cdr::Encoder fill;
-  fill.put_ulonglong(10);
-  fill.put_ulonglong(8);
-  call(primary, "fill", fill.take());
-  cdr::Encoder update;
-  primary.get_update("fill", update);
-  cdr::Decoder dec(update.data());
+  const cdr::Bytes fill = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_ulonglong(10);
+    w.put_ulonglong(8);
+  });
+  call(primary, "fill", fill);
+  const cdr::Bytes update = cdr::make_bytes(
+      [&](cdr::Writer& w) { primary.get_update("fill", w); });
+  cdr::Decoder dec(update);
   backup.apply_update("fill", dec);
   EXPECT_EQ(backup.data(), primary.data());
 }

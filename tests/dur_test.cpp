@@ -89,9 +89,9 @@ TEST(Disk, ListIsSortedAndPrefixed) {
 
 TEST(Record, JournalRecordRoundTrip) {
   const JournalRecord in = make_record(42, "counter");
-  cdr::Encoder enc;
-  encode_journal_record_into(enc, in);
-  cdr::Decoder dec(enc.data());
+  const Bytes wire = cdr::make_bytes(
+      [&in](cdr::Writer& w) { encode_journal_record_into(w, in); });
+  cdr::Decoder dec(wire);
   const JournalRecord out = decode_journal_record(dec);
   EXPECT_EQ(out.index, in.index);
   EXPECT_EQ(out.carrier.epoch, in.carrier.epoch);
@@ -113,9 +113,9 @@ TEST(Record, CheckpointRecordRoundTrip) {
   in.max_epoch = 5;
   in.client_next_op = 900;
   in.blob = Bytes{1, 2, 3};
-  cdr::Encoder enc;
-  encode_checkpoint_record_into(enc, in);
-  cdr::Decoder dec(enc.data());
+  const Bytes wire = cdr::make_bytes(
+      [&in](cdr::Writer& w) { encode_checkpoint_record_into(w, in); });
+  cdr::Decoder dec(wire);
   const CheckpointRecord out = decode_checkpoint_record(dec);
   EXPECT_EQ(out.group, in.group);
   EXPECT_EQ(out.style, in.style);
@@ -148,21 +148,29 @@ TEST(Record, InPlaceFrameMatchesReference) {
   rec.state_version = 7;
   rec.position = 3;
   rec.blob = Bytes{1, 2, 3, 4, 5};
-  cdr::Encoder payload;
-  encode_checkpoint_record_into(payload, rec);
-  cdr::Encoder framed;
-  frame_begin(framed);
-  encode_checkpoint_record_into(framed, rec);
-  frame_end(framed);
-  EXPECT_EQ(framed.data(), frame_reference(payload.data()));
+  const Bytes payload = cdr::make_bytes(
+      [&rec](cdr::Writer& w) { encode_checkpoint_record_into(w, rec); });
+  const Bytes framed = cdr::make_bytes([&rec](cdr::Writer& w) {
+    frame_begin(w);
+    encode_checkpoint_record_into(w, rec);
+    frame_end(w);
+  });
+  EXPECT_EQ(framed, frame_reference(payload));
+  // A blob written in place is the same record as one copied in.
+  const Bytes in_place = cdr::make_bytes([&rec](cdr::Writer& w) {
+    encode_checkpoint_record_into(w, rec, [&rec](cdr::Writer& blob) {
+      blob.put_raw(rec.blob);
+    });
+  });
+  EXPECT_EQ(in_place, payload);
 }
 
 TEST(Record, FrameRejectsCorruptPayload) {
-  cdr::Encoder enc;
-  frame_begin(enc);
-  encode_meta_record_into(enc, MetaRecord{3, 4});
-  frame_end(enc);
-  Bytes framed = enc.take();
+  Bytes framed = cdr::make_bytes([](cdr::Writer& w) {
+    frame_begin(w);
+    encode_meta_record_into(w, MetaRecord{3, 4});
+    frame_end(w);
+  });
   std::size_t off = 0, len = 0;
   ASSERT_TRUE(frame_parse(framed, 0, off, len));
   framed[framed.size() - 1] ^= 0xFF;  // flip a payload byte
@@ -508,9 +516,8 @@ TEST(Journal, CompactMatchesReencodedSuffix) {
   const auto reencoded = [&j] {
     Bytes out;
     for (const JournalRecord& r : j.scan().records) {
-      cdr::Encoder enc;
-      encode_journal_record_into(enc, r);
-      const Bytes framed = frame_reference(enc.data());
+      const Bytes framed = frame_reference(cdr::make_bytes(
+          [&r](cdr::Writer& w) { encode_journal_record_into(w, r); }));
       out.insert(out.end(), framed.begin(), framed.end());
     }
     return out;

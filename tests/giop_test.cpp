@@ -17,10 +17,9 @@ TEST(Giop, RequestRoundTrip) {
   hdr.object_key = key("group/counter");
   hdr.operation = "increment";
 
-  cdr::Encoder body;
-  body.put_ulong(7);
+  const Bytes body = cdr::make_bytes([](cdr::Writer& w) { w.put_ulong(7); });
 
-  Bytes wire = encode_request(hdr, body.data());
+  Bytes wire = encode_request(hdr, body);
   Message msg = decode(wire);
   ASSERT_EQ(msg.header.msg_type, MsgType::Request);
   ASSERT_TRUE(msg.request.has_value());
@@ -35,10 +34,10 @@ TEST(Giop, ReplyRoundTrip) {
   hdr.request_id = 99;
   hdr.reply_status = ReplyStatus::NoException;
 
-  cdr::Encoder body;
-  body.put_string("result");
+  const Bytes body =
+      cdr::make_bytes([](cdr::Writer& w) { w.put_string("result"); });
 
-  Bytes wire = encode_reply(hdr, body.data());
+  Bytes wire = encode_reply(hdr, body);
   Message msg = decode(wire);
   ASSERT_EQ(msg.header.msg_type, MsgType::Reply);
   ASSERT_TRUE(msg.reply.has_value());
@@ -64,9 +63,9 @@ TEST(Giop, BodyIsEightAligned) {
     hdr.request_id = 5;
     hdr.object_key = key("key");
     hdr.operation = op;
-    cdr::Encoder body;
-    body.put_double(6.25);
-    Message msg = decode(encode_request(hdr, body.data()));
+    const Bytes body =
+        cdr::make_bytes([](cdr::Writer& w) { w.put_double(6.25); });
+    Message msg = decode(encode_request(hdr, body));
     cdr::Decoder dec(msg.body);
     EXPECT_DOUBLE_EQ(dec.get_double(), 6.25) << "op=" << op;
   }
@@ -116,9 +115,8 @@ TEST(Giop, SystemExceptionBodyRoundTrip) {
   body.minor_code = 2;
   body.completion_status = 1;
 
-  cdr::Encoder enc;
-  body.encode(enc);
-  cdr::Decoder dec(enc.data());
+  const Bytes wire = cdr::make_bytes([&](cdr::Writer& w) { body.encode(w); });
+  cdr::Decoder dec(wire);
   EXPECT_EQ(SystemExceptionBody::decode(dec), body);
 }
 

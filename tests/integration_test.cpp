@@ -45,10 +45,11 @@ struct Stack {
 
   std::int64_t incr(NodeId node, const std::string& group,
                     sim::Time timeout = 10 * kSecond) {
-    cdr::Encoder enc;
-    enc.put_longlong(1);
+    const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+      w.put_longlong(1);
+    });
     cdr::Bytes out =
-        domain.client(node).invoke_blocking(group, "incr", enc.take(),
+        domain.client(node).invoke_blocking(group, "incr", enc,
                                             timeout);
     cdr::Decoder dec(out);
     return dec.get_longlong();
@@ -143,9 +144,10 @@ TEST(Integration, MinorityClientBlocksUntilRemerge) {
   s.net.set_partitions({{0, 1, 2}, {3}});
   ASSERT_TRUE(s.converge());
   s.domain.client(3).set_retry_interval(50 * kMillisecond);
-  cdr::Encoder enc;
-  enc.put_longlong(1);
-  auto fut = s.domain.client(3).invoke("ctr", "incr", enc.take());
+  const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_longlong(1);
+  });
+  auto fut = s.domain.client(3).invoke("ctr", "incr", enc);
   s.sim.run_for(2 * kSecond);
   EXPECT_FALSE(fut.ready());
   s.net.heal_partitions();
@@ -195,16 +197,18 @@ TEST(Integration, MixedStyleGroupsShareProcessorsUnderFaults) {
       rep::GroupConfig{"b", rep::Style::ColdPassive}, {2, 3, 4});
   s.sim.run_for(kSecond);
 
-  cdr::Encoder dep;
-  dep.put_longlong(100);
-  s.domain.client(5).invoke_blocking("a", "deposit", dep.take());
+  const cdr::Bytes dep = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_longlong(100);
+  });
+  s.domain.client(5).invoke_blocking("a", "deposit", dep);
 
   auto transfer = [&] {
-    cdr::Encoder args;
-    args.put_string("a");
-    args.put_string("b");
-    args.put_longlong(10);
-    s.domain.client(5).invoke_blocking("teller", "transfer", args.take(),
+    const cdr::Bytes args = cdr::make_bytes([&](cdr::Writer& w) {
+      w.put_string("a");
+      w.put_string("b");
+      w.put_longlong(10);
+    });
+    s.domain.client(5).invoke_blocking("teller", "transfer", args,
                                        10 * kSecond);
   };
   transfer();
@@ -249,9 +253,10 @@ TEST(Integration, InventoryWithManagementPlaneAndPartition) {
   s.rm.create_object("inv", std::vector<NodeId>{0, 1, 2});
   s.sim.run_for(kSecond);
 
-  cdr::Encoder make;
-  make.put_longlong(1);
-  s.domain.client(0).invoke_blocking("inv", "manufacture", make.take());
+  const cdr::Bytes make = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_longlong(1);
+  });
+  s.domain.client(0).invoke_blocking("inv", "manufacture", make);
 
   s.net.set_partitions({{0, 1, 3, 4}, {2}});
   ASSERT_TRUE(s.converge());

@@ -280,10 +280,11 @@ struct Cluster {
 
   std::int64_t invoke_i64(NodeId node, const std::string& group,
                           const std::string& op, std::int64_t arg) {
-    cdr::Encoder enc;
-    enc.put_longlong(arg);
+    const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+      w.put_longlong(arg);
+    });
     cdr::Bytes out =
-        domain.client(node).invoke_blocking(group, op, enc.take());
+        domain.client(node).invoke_blocking(group, op, enc);
     cdr::Decoder dec(out);
     return dec.get_longlong();
   }
@@ -429,17 +430,19 @@ TEST_F(EndToEnd, NestedInvocationsChainOntoParentExecutionSpan) {
   ASSERT_TRUE(c.converge());
 
   {
-    cdr::Encoder enc;
-    enc.put_longlong(100);
-    c.domain.client(0).invoke_blocking("acct.a", "deposit", enc.take());
+    const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+      w.put_longlong(100);
+    });
+    c.domain.client(0).invoke_blocking("acct.a", "deposit", enc);
   }
 
   Tracer::global().enable(true);
-  cdr::Encoder enc;
-  enc.put_string("acct.a");
-  enc.put_string("acct.b");
-  enc.put_longlong(30);
-  c.domain.client(4).invoke_blocking("teller", "transfer", enc.take());
+  const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_string("acct.a");
+    w.put_string("acct.b");
+    w.put_longlong(30);
+  });
+  c.domain.client(4).invoke_blocking("teller", "transfer", enc);
   c.sim.run_for(kSecond);
   Tracer::global().enable(false);
 

@@ -68,10 +68,11 @@ struct Cluster {
   void run(sim::Time t) { sim.run_for(t); }
 
   std::int64_t incr(NodeId node, const std::string& group, std::int64_t d) {
-    cdr::Encoder enc;
-    enc.put_longlong(d);
+    const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+      w.put_longlong(d);
+    });
     cdr::Bytes out =
-        domain.client(node).invoke_blocking(group, "incr", enc.take());
+        domain.client(node).invoke_blocking(group, "incr", enc);
     cdr::Decoder dec(out);
     return dec.get_longlong();
   }
@@ -182,13 +183,13 @@ class SaltedCounter : public rep::Replica {
  public:
   explicit SaltedCounter(std::int64_t salt) : salt_(salt) {
     op("incr", [this](orb::InvokerContext&, cdr::Decoder& in,
-                      cdr::Encoder& out) {
+                      cdr::Writer& out) {
       value_ += in.get_longlong() + salt_;
       out.put_longlong(value_);
     });
   }
 
-  void get_state(cdr::Encoder& out) const override {
+  void get_state(cdr::Writer& out) const override {
     out.put_longlong(value_);
   }
   void set_state(cdr::Decoder& in) override { value_ = in.get_longlong(); }
@@ -492,10 +493,11 @@ TEST_F(Scenario, DomainRecoveryDumpAuditsClean) {
   sim.run_for(300 * kMillisecond);
 
   const auto incr = [&](NodeId node, std::int64_t d) {
-    cdr::Encoder enc;
-    enc.put_longlong(d);
+    const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+      w.put_longlong(d);
+    });
     cdr::Bytes out = domain.client(node).invoke_blocking("ctr", "incr",
-                                                         enc.take());
+                                                         enc);
     cdr::Decoder dec(out);
     return dec.get_longlong();
   };

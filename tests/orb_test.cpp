@@ -137,32 +137,34 @@ TEST(FutureTest, ThenAfterResolutionFiresImmediately) {
 
 struct TestServant : Servant {
   TestServant() {
-    op("double", [](InvokerContext&, cdr::Decoder& in, cdr::Encoder& out) {
+    op("double", [](InvokerContext&, cdr::Decoder& in, cdr::Writer& out) {
       out.put_longlong(in.get_longlong() * 2);
     });
-    read_op("peek", [](InvokerContext&, cdr::Decoder&, cdr::Encoder&) {});
+    read_op("peek", [](InvokerContext&, cdr::Decoder&, cdr::Writer&) {});
   }
 };
 
 TEST(ServantTest, DispatchRunsRegisteredOp) {
   TestServant servant;
   PlainContext ctx(0, 1);
-  cdr::Encoder args;
-  args.put_longlong(21);
-  cdr::Decoder in(args.data());
-  cdr::Encoder out;
+  const cdr::Bytes args = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_longlong(21);
+  });
+  cdr::Decoder in(args);
+  cdr::Arena arena;
+  cdr::Writer out(arena);
   Task t = servant.dispatch("double", ctx, in, out);
   EXPECT_TRUE(t.done());
-  cdr::Decoder result(out.data());
+  cdr::Decoder result(out.written());
   EXPECT_EQ(result.get_longlong(), 42);
 }
 
 TEST(ServantTest, UnknownOpThrowsBadOperation) {
   TestServant servant;
   PlainContext ctx(0, 1);
-  cdr::Encoder empty;
-  cdr::Decoder in(empty.data());
-  cdr::Encoder out;
+  cdr::Decoder in(std::span<const std::uint8_t>{});
+  cdr::Arena arena;
+  cdr::Writer out(arena);
   try {
     servant.dispatch("nope", ctx, in, out);
     FAIL();
@@ -208,11 +210,11 @@ TEST(Adapter, DispatchesToActivatedServant) {
   ObjectAdapter adapter;
   adapter.activate("svc", std::make_shared<TestServant>());
   PlainContext ctx(0, 1);
-  cdr::Encoder body;
-  body.put_longlong(4);
+  const cdr::Bytes body =
+      cdr::make_bytes([](cdr::Writer& w) { w.put_longlong(4); });
   cdr::Arena arena;
   cdr::WireBuf reply_wire = adapter.handle_request_sync(
-      arena, make_request("svc", "double", body.data()), ctx);
+      arena, make_request("svc", "double", body), ctx);
   giop::Message reply = giop::decode(reply_wire);
   ASSERT_EQ(reply.reply->reply_status, giop::ReplyStatus::NoException);
   const cdr::Bytes reply_body = parse_reply(reply);
@@ -260,11 +262,11 @@ TEST(Adapter, RequestIdEchoedInReply) {
   ObjectAdapter adapter;
   adapter.activate("svc", std::make_shared<TestServant>());
   PlainContext ctx(0, 1);
-  cdr::Encoder body;
-  body.put_longlong(1);
+  const cdr::Bytes body =
+      cdr::make_bytes([](cdr::Writer& w) { w.put_longlong(1); });
   cdr::Arena arena;
   cdr::WireBuf reply_wire = adapter.handle_request_sync(
-      arena, make_request("svc", "double", body.data(), 777), ctx);
+      arena, make_request("svc", "double", body, 777), ctx);
   EXPECT_EQ(giop::decode(reply_wire).reply->request_id, 777u);
 }
 
@@ -286,9 +288,9 @@ struct PlainFixture : ::testing::Test {
 };
 
 TEST_F(PlainFixture, RoundTrip) {
-  cdr::Encoder args;
-  args.put_octet_seq(cdr::Bytes{1, 2, 3});
-  cdr::Bytes reply = client.invoke_blocking(0, "echo", "echo", args.take());
+  const cdr::Bytes args = cdr::make_bytes(
+      [](cdr::Writer& w) { w.put_octet_seq(cdr::Bytes{1, 2, 3}); });
+  cdr::Bytes reply = client.invoke_blocking(0, "echo", "echo", args);
   cdr::Decoder dec(reply);
   EXPECT_EQ(dec.get_octet_seq(), (cdr::Bytes{1, 2, 3}));
 }
@@ -311,14 +313,14 @@ TEST_F(PlainFixture, TimesOutWhenServerCrashed) {
 
 TEST_F(PlainFixture, ConcurrentInvocationsMatchedByRequestId) {
   auto f1 = client.invoke(0, "echo", "echo", [&] {
-    cdr::Encoder e;
-    e.put_octet_seq(cdr::Bytes{1});
-    return e.take();
+    return cdr::make_bytes([&](cdr::Writer& w) {
+      w.put_octet_seq(cdr::Bytes{1});
+    });
   }());
   auto f2 = client.invoke(0, "echo", "echo", [&] {
-    cdr::Encoder e;
-    e.put_octet_seq(cdr::Bytes{2});
-    return e.take();
+    return cdr::make_bytes([&](cdr::Writer& w) {
+      w.put_octet_seq(cdr::Bytes{2});
+    });
   }());
   sim.run();
   ASSERT_TRUE(f1.ready());

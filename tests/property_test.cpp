@@ -36,10 +36,11 @@ struct Cluster {
   }
 
   std::int64_t incr(NodeId node) {
-    cdr::Encoder enc;
-    enc.put_longlong(1);
+    const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+      w.put_longlong(1);
+    });
     cdr::Bytes out = domain.client(node).invoke_blocking(
-        "ctr", "incr", enc.take(), 30 * kSecond);
+        "ctr", "incr", enc, 30 * kSecond);
     cdr::Decoder dec(out);
     return dec.get_longlong();
   }
@@ -47,9 +48,7 @@ struct Cluster {
   cdr::Bytes state_of(NodeId node, const std::string& group) {
     auto r = domain.engine(node).local_replica(group);
     if (!r) return {};
-    cdr::Encoder enc;
-    r->get_state(enc);
-    return enc.take();
+    return cdr::make_bytes([&](cdr::Writer& w) { r->get_state(w); });
   }
 
   sim::Simulation sim;
@@ -190,18 +189,20 @@ TEST_P(TransferChaos, MoneyIsConserved) {
                             {3, 4});
   ASSERT_TRUE(c.converge());
 
-  cdr::Encoder dep;
-  dep.put_longlong(1000);
-  c.domain.client(5).invoke_blocking("acct.a", "deposit", dep.take());
+  const cdr::Bytes dep = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_longlong(1000);
+  });
+  c.domain.client(5).invoke_blocking("acct.a", "deposit", dep);
 
   bool crashed = false;
   int transfers_done = 0;
   for (int i = 0; i < 8; ++i) {
-    cdr::Encoder args;
-    args.put_string("acct.a");
-    args.put_string("acct.b");
-    args.put_longlong(10);
-    auto fut = c.domain.client(5).invoke("teller", "transfer", args.take());
+    const cdr::Bytes args = cdr::make_bytes([&](cdr::Writer& w) {
+      w.put_string("acct.a");
+      w.put_string("acct.b");
+      w.put_longlong(10);
+    });
+    auto fut = c.domain.client(5).invoke("teller", "transfer", args);
     // Occasionally crash a teller replica mid-chain (once per run).
     if (!crashed && rng.chance(0.4)) {
       c.sim.run_for(rng.below(1500));

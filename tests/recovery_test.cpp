@@ -47,10 +47,11 @@ struct DurableCluster {
   }
 
   std::int64_t incr(NodeId node, const std::string& group, std::int64_t d) {
-    cdr::Encoder enc;
-    enc.put_longlong(d);
+    const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+      w.put_longlong(d);
+    });
     cdr::Bytes out =
-        domain.client(node).invoke_blocking(group, "incr", enc.take());
+        domain.client(node).invoke_blocking(group, "incr", enc);
     cdr::Decoder dec(out);
     return dec.get_longlong();
   }
@@ -169,10 +170,11 @@ TEST(Recovery, RetryStraddlingRestartStaysExactlyOnce) {
   // Fire one op from the surviving client node and stop the world the
   // moment a server has executed it — before the reply reaches the client.
   c.domain.client(3).set_retry_interval(100 * kMillisecond);
-  cdr::Encoder enc;
-  enc.put_longlong(1);
+  const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_longlong(1);
+  });
   rep::Invocation inv =
-      c.domain.client(3).invoke("counter", "incr", enc.take());
+      c.domain.client(3).invoke("counter", "incr", enc);
   while (c.domain.engine(0).stats().invocations_executed == 0) {
     ASSERT_TRUE(c.sim.step()) << "ran dry before the op executed";
   }
@@ -275,16 +277,18 @@ TEST(Recovery, NestedOperationsRecoverConsistently) {
   ASSERT_TRUE(c.converge());
 
   {
-    cdr::Encoder enc;
-    enc.put_longlong(1000);
-    c.domain.client(0).invoke_blocking("alice", "deposit", enc.take());
+    const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+      w.put_longlong(1000);
+    });
+    c.domain.client(0).invoke_blocking("alice", "deposit", enc);
   }
   for (int i = 0; i < 4; ++i) {
-    cdr::Encoder enc;
-    enc.put_string("alice");
-    enc.put_string("bob");
-    enc.put_longlong(50);
-    c.domain.client(0).invoke_blocking("teller", "transfer", enc.take());
+    const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+      w.put_string("alice");
+      w.put_string("bob");
+      w.put_longlong(50);
+    });
+    c.domain.client(0).invoke_blocking("teller", "transfer", enc);
   }
   c.plane.sync_all();
   c.kill({0, 1, 2}, /*torn=*/false);
@@ -363,9 +367,10 @@ TEST(Recovery, TapeBytesMatchGoldens) {
   // A burst still in flight at the power cut: step until some journal holds
   // appended-but-unsynced bytes, so the torn cut tears a record mid-frame.
   for (int i = 0; i < 6; ++i) {
-    cdr::Encoder enc;
-    enc.put_longlong(1);
-    c.domain.client(3).invoke("counter", "incr", enc.take());
+    const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+      w.put_longlong(1);
+    });
+    c.domain.client(3).invoke("counter", "incr", enc);
   }
   const auto unsynced = [&farm] {
     for (NodeId n : {0, 1, 2}) {

@@ -47,10 +47,11 @@ struct Cluster {
   std::int64_t invoke_i64(NodeId node, const std::string& group,
                           const std::string& op, std::int64_t arg,
                           sim::Time timeout = 5 * kSecond) {
-    cdr::Encoder enc;
-    enc.put_longlong(arg);
+    const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+      w.put_longlong(arg);
+    });
     cdr::Bytes out =
-        domain.client(node).invoke_blocking(group, op, enc.take(), timeout);
+        domain.client(node).invoke_blocking(group, op, enc, timeout);
     cdr::Decoder dec(out);
     return dec.get_longlong();
   }
@@ -147,10 +148,11 @@ TEST(Active, InvocationDuringMembershipChangeIsNotLost) {
   c.domain.host_on<Counter>(cfg("ctr", Style::Active), {0, 1, 2});
   ASSERT_TRUE(c.converge());
   auto fut = [&] {
-    cdr::Encoder enc;
-    enc.put_longlong(1);
+    const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+      w.put_longlong(1);
+    });
     return c.domain.client(3).invoke(
-        "ctr", "incr", enc.take());
+        "ctr", "incr", enc);
   }();
   c.run(200);          // invocation possibly in flight
   c.fabric.crash(2);   // membership change mid-operation
@@ -199,9 +201,10 @@ TEST(WarmPassive, InFlightOperationSurvivesPrimaryCrash) {
   Cluster c(4, /*seed=*/5);
   c.domain.host_on<Counter>(cfg("ctr", Style::WarmPassive), {0, 1, 2});
   ASSERT_TRUE(c.converge());
-  cdr::Encoder enc;
-  enc.put_longlong(3);
-  auto fut = c.domain.client(3).invoke("ctr", "incr", enc.take());
+  const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_longlong(3);
+  });
+  auto fut = c.domain.client(3).invoke("ctr", "incr", enc);
   c.run(200);         // the invocation is ordered but likely unanswered
   c.fabric.crash(0);  // primary dies
   c.run(3 * kSecond);
@@ -257,10 +260,11 @@ TEST(StateTransfer, LargeStateInChunks) {
   Cluster c(3, 1, ep);
   c.domain.host_on<KvStore>(cfg("kv", Style::Active), {0, 1});
   ASSERT_TRUE(c.converge());
-  cdr::Encoder enc;
-  enc.put_ulonglong(500);
-  enc.put_ulonglong(100);
-  c.domain.client(2).invoke_blocking("kv", "fill", enc.take());
+  const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_ulonglong(500);
+    w.put_ulonglong(100);
+  });
+  c.domain.client(2).invoke_blocking("kv", "fill", enc);
   c.run(kSecond);
 
   c.domain.engine(2).host(cfg("kv", Style::Active),
@@ -343,12 +347,12 @@ TEST(StateTransfer, TransferredBackupForgetsOperationsOldestFirst) {
   retry.op_id = newest;
   retry.target_group = "ctr";
   retry.reply_group = c.domain.client(2).reply_group();
-  cdr::Encoder args;
-  args.put_longlong(1);
+  const cdr::Bytes args =
+      cdr::make_bytes([](cdr::Writer& a) { a.put_longlong(1); });
   cdr::Writer w(c.domain.engine(2).group_layer().arena(), 256);
   giop::encode_request_inline(w, static_cast<std::uint32_t>(newest.op_seq),
                               /*response_expected=*/true, "ctr", "incr",
-                              nullptr, args.data());
+                              nullptr, args);
   retry.giop = w.seal();
   const std::uint64_t dropped =
       c.domain.engine(4).stats().duplicate_invocations_dropped;
@@ -386,12 +390,13 @@ TEST(StateTransfer, SnapshotWaitsForSuspendedNestedExecution) {
   constexpr int kTransfers = 8;
   std::vector<Invocation> futs;
   for (int i = 0; i < kTransfers; ++i) {
-    cdr::Encoder enc;
-    enc.put_string("acct.a");
-    enc.put_string("acct.b");
-    enc.put_longlong(10);
+    const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+      w.put_string("acct.a");
+      w.put_string("acct.b");
+      w.put_longlong(10);
+    });
     futs.push_back(
-        c.domain.client(5).invoke("teller", "transfer", enc.take()));
+        c.domain.client(5).invoke("teller", "transfer", enc));
     c.run(kMillisecond);
   }
   c.domain.engine(2).host(cfg("teller", Style::Active),
@@ -446,12 +451,13 @@ TEST_P(NestedSweep, TransferAcrossGroups) {
 
   c.invoke_i64(0, "acct.a", "deposit", 100);
 
-  cdr::Encoder enc;
-  enc.put_string("acct.a");
-  enc.put_string("acct.b");
-  enc.put_longlong(30);
+  const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_string("acct.a");
+    w.put_string("acct.b");
+    w.put_longlong(30);
+  });
   cdr::Bytes out =
-      c.domain.client(4).invoke_blocking("teller", "transfer", enc.take());
+      c.domain.client(4).invoke_blocking("teller", "transfer", enc);
   cdr::Decoder dec(out);
   EXPECT_EQ(dec.get_longlong(), 30);  // destination balance
 
@@ -486,12 +492,13 @@ TEST(Nested, UserExceptionPropagatesThroughChain) {
   c.domain.host_on<Account>(cfg("acct.b", Style::Active), {3});
   ASSERT_TRUE(c.converge());
 
-  cdr::Encoder enc;
-  enc.put_string("acct.a");
-  enc.put_string("acct.b");
-  enc.put_longlong(50);  // overdraft: acct.a is empty
+  const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_string("acct.a");
+    w.put_string("acct.b");
+    w.put_longlong(50);  // overdraft: acct.a is empty
+  });
   try {
-    c.domain.client(3).invoke_blocking("teller", "transfer", enc.take());
+    c.domain.client(3).invoke_blocking("teller", "transfer", enc);
     FAIL() << "expected NO_FUNDS";
   } catch (const orb::SystemException& e) {
     EXPECT_NE(e.exception_id().find("NO_FUNDS"), std::string::npos);
@@ -511,11 +518,12 @@ TEST(Nested, PassivePrimaryCrashReinvokesUnderSameOperationId) {
   ASSERT_TRUE(c.converge());
   c.invoke_i64(4, "acct.a", "deposit", 100);
 
-  cdr::Encoder enc;
-  enc.put_string("acct.a");
-  enc.put_string("acct.b");
-  enc.put_longlong(10);
-  auto fut = c.domain.client(4).invoke("teller", "transfer", enc.take());
+  const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_string("acct.a");
+    w.put_string("acct.b");
+    w.put_longlong(10);
+  });
+  auto fut = c.domain.client(4).invoke("teller", "transfer", enc);
   c.run(1200);        // teller primary has (likely) issued the withdraw
   c.fabric.crash(0);  // teller primary dies mid-chain
   c.run(5 * kSecond);
@@ -541,11 +549,12 @@ TEST(Duplicates, SenderSideSuppressionSavesMulticasts) {
     if (!c.converge()) return std::pair<std::uint64_t, std::uint64_t>{0, 0};
     c.invoke_i64(5, "acct.a", "deposit", 1000);
     for (int i = 0; i < 5; ++i) {
-      cdr::Encoder enc;
-      enc.put_string("acct.a");
-      enc.put_string("acct.b");
-      enc.put_longlong(1);
-      c.domain.client(5).invoke_blocking("teller", "transfer", enc.take());
+      const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+        w.put_string("acct.a");
+        w.put_string("acct.b");
+        w.put_longlong(1);
+      });
+      c.domain.client(5).invoke_blocking("teller", "transfer", enc);
     }
     c.run(kSecond);
     const std::uint64_t suppressed =
@@ -571,11 +580,12 @@ TEST(Duplicates, ReceiverSideCollapsesUnsuppressedCopies) {
   ASSERT_TRUE(c.converge());
   c.invoke_i64(5, "acct.a", "deposit", 100);
 
-  cdr::Encoder enc;
-  enc.put_string("acct.a");
-  enc.put_string("acct.b");
-  enc.put_longlong(30);
-  c.domain.client(5).invoke_blocking("teller", "transfer", enc.take());
+  const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_string("acct.a");
+    w.put_string("acct.b");
+    w.put_longlong(30);
+  });
+  c.domain.client(5).invoke_blocking("teller", "transfer", enc);
   c.run(kSecond);
   // Three teller replicas each multicast the nested withdraw; the account
   // replicas executed it exactly once.
@@ -599,12 +609,13 @@ TEST(Determinism, TimeAndRandomIdenticalAcrossReplicas) {
     c.domain.client(3).invoke_blocking("probe", "sample", {});
   }
   c.run(kSecond);
-  cdr::Encoder s0, s1, s2;
-  c.replica<NondetProbe>(0, "probe")->get_state(s0);
-  c.replica<NondetProbe>(1, "probe")->get_state(s1);
-  c.replica<NondetProbe>(2, "probe")->get_state(s2);
-  EXPECT_EQ(s0.data(), s1.data());
-  EXPECT_EQ(s0.data(), s2.data());
+  const auto state = [&c](NodeId n) {
+    return cdr::make_bytes([&](cdr::Writer& w) {
+      c.replica<NondetProbe>(n, "probe")->get_state(w);
+    });
+  };
+  EXPECT_EQ(state(0), state(1));
+  EXPECT_EQ(state(0), state(2));
 }
 
 // ---------------------------------------------------------------------------

@@ -70,6 +70,30 @@ TEST(Wire, InvocationRoundTrip) {
   EXPECT_EQ(out.giop, env.giop);
 }
 
+// A checkpoint's passive invocation log writes each envelope in place as
+// an octet sequence; that must be the bytes of the envelope framed on its
+// own and copied in, at any offset of the enclosing stream.
+TEST(Wire, InPlaceEnvelopeMatchesCopiedFrame) {
+  Envelope env = sample_invocation();
+  env.trace_id = 7;
+  const Bytes alone = encode(env);
+  for (std::size_t lead = 0; lead < 8; ++lead) {
+    cdr::Arena arena;
+    cdr::Writer in_place(arena);
+    for (std::size_t i = 0; i < lead; ++i) in_place.put_octet(0xEE);
+    in_place.begin_octet_seq();
+    encode_envelope_into(in_place, env);
+    in_place.end_octet_seq();
+    const Bytes copied = cdr::make_bytes([&](cdr::Writer& w) {
+      for (std::size_t i = 0; i < lead; ++i) w.put_octet(0xEE);
+      w.put_octet_seq(alone);
+    });
+    EXPECT_EQ(Bytes(in_place.written().begin(), in_place.written().end()),
+              copied)
+        << "lead " << lead;
+  }
+}
+
 TEST(Wire, StateUpdateRoundTrip) {
   Envelope env;
   env.kind = Kind::StateUpdate;
@@ -171,9 +195,10 @@ TEST_F(Edge, UnknownOperationReturnsBadOperationThroughTheStack) {
     EXPECT_NE(e.exception_id().find("BAD_OPERATION"), std::string::npos);
   }
   // The failed operation did not corrupt subsequent service.
-  cdr::Encoder enc;
-  enc.put_longlong(1);
-  cdr::Bytes out = domain.client(3).invoke_blocking("ctr", "incr", enc.take());
+  const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_longlong(1);
+  });
+  cdr::Bytes out = domain.client(3).invoke_blocking("ctr", "incr", enc);
   cdr::Decoder dec(out);
   EXPECT_EQ(dec.get_longlong(), 1);
 }
@@ -199,17 +224,19 @@ TEST_F(Edge, MalformedArgumentsYieldMarshalException) {
 TEST_F(Edge, UnhostedGroupStopsServingLocally) {
   domain.host_on<app::Counter>(GroupConfig{"ctr", Style::Active}, {0, 1});
   sim.run_for(kSecond);
-  cdr::Encoder enc;
-  enc.put_longlong(1);
-  domain.client(3).invoke_blocking("ctr", "incr", enc.take());
+  const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_longlong(1);
+  });
+  domain.client(3).invoke_blocking("ctr", "incr", enc);
   domain.engine(0).unhost("ctr");
   EXPECT_FALSE(domain.engine(0).hosts("ctr"));
   sim.run_for(kSecond);
   // Remaining replica serves on.
-  cdr::Encoder enc2;
-  enc2.put_longlong(1);
+  const cdr::Bytes enc2 = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_longlong(1);
+  });
   cdr::Bytes out =
-      domain.client(3).invoke_blocking("ctr", "incr", enc2.take());
+      domain.client(3).invoke_blocking("ctr", "incr", enc2);
   cdr::Decoder dec(out);
   EXPECT_EQ(dec.get_longlong(), 2);
 }
@@ -218,9 +245,10 @@ TEST_F(Edge, TwoGroupsSameServantTypeAreIndependent) {
   domain.host_on<app::Counter>(GroupConfig{"a", Style::Active}, {0});
   domain.host_on<app::Counter>(GroupConfig{"b", Style::Active}, {0});
   sim.run_for(kSecond);
-  cdr::Encoder enc;
-  enc.put_longlong(5);
-  domain.client(3).invoke_blocking("a", "incr", enc.take());
+  const cdr::Bytes enc = cdr::make_bytes([&](cdr::Writer& w) {
+    w.put_longlong(5);
+  });
+  domain.client(3).invoke_blocking("a", "incr", enc);
   cdr::Bytes out = domain.client(3).invoke_blocking("b", "get", {});
   cdr::Decoder dec(out);
   EXPECT_EQ(dec.get_longlong(), 0);  // group b untouched
@@ -230,11 +258,10 @@ TEST_F(Edge, ClientOpIdsAreUniquePerNode) {
   domain.host_on<app::Counter>(GroupConfig{"ctr", Style::Active}, {0});
   sim.run_for(kSecond);
   // Two clients on different nodes interleave; both see exactly-once.
-  cdr::Encoder e1, e2;
-  e1.put_longlong(1);
-  e2.put_longlong(1);
-  auto f1 = domain.client(2).invoke("ctr", "incr", e1.take());
-  auto f2 = domain.client(3).invoke("ctr", "incr", e2.take());
+  const cdr::Bytes one =
+      cdr::make_bytes([](cdr::Writer& w) { w.put_longlong(1); });
+  auto f1 = domain.client(2).invoke("ctr", "incr", one);
+  auto f2 = domain.client(3).invoke("ctr", "incr", one);
   sim.run_for(2 * kSecond);
   ASSERT_TRUE(f1.ready());
   ASSERT_TRUE(f2.ready());

@@ -4,7 +4,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "totem/fabric.hpp"
+#include "totem/wire.hpp"
 
 namespace eternal::totem {
 namespace {
@@ -468,6 +470,61 @@ TEST_P(CrashSweep, SurvivorsStayConsistent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Victims, CrashSweep, ::testing::Values(0, 1, 2, 3));
+
+// Hostile input: a malformed datagram is dropped and counted at the totem
+// boundary instead of unwinding out of the receive handler and aborting the
+// whole simulation.
+TEST(TotemIngress, MalformedUnicastIsDroppedAndCounted) {
+  Cluster c(3);
+  ASSERT_TRUE(c.converge());
+  // A Token kind byte followed by 11 bytes: underflows mid-ring-id.
+  const std::uint8_t junk[12] = {2, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4, 5, 6, 7};
+  c.net.unicast(0, 1, cdr::WireBuf(std::span<const std::uint8_t>(junk)));
+  c.sim.run_for(50 * kMillisecond);
+  for (NodeId i = 0; i < 3; ++i) {
+    c.fabric.group(i).send("g", bytes("after" + std::to_string(i)));
+  }
+  c.sim.run_for(kSecond);
+  ASSERT_EQ(c.payloads(0).size(), 3u);
+  for (NodeId i = 1; i < 3; ++i) EXPECT_EQ(c.payloads(i), c.payloads(0));
+  EXPECT_EQ(obs::Registry::global()
+                .counter(obs::node_metric("totem", "malformed_dropped", 1))
+                .value(),
+            1u);
+  EXPECT_EQ(c.fabric.node(1).stats().malformed_dropped, 1u);
+  EXPECT_EQ(c.fabric.node(0).stats().malformed_dropped, 0u);
+}
+
+// A count field may claim more elements than the frame has bytes left; the
+// decoder must not reserve for the claim before the underflow shows it up.
+TEST(TotemIngress, InflatedCountsDoNotReserveBeyondTheFrame) {
+  cdr::Arena arena;
+  Packet scratch;
+  {
+    cdr::Writer w(arena);
+    w.put_octet(static_cast<std::uint8_t>(MsgKind::Token));
+    w.put_ulonglong(7);  // ring epoch
+    w.put_ulong(0);      // ring leader
+    for (int i = 0; i < 4; ++i) w.put_ulonglong(1);  // id, seq, aru, safe
+    w.put_ulong(1u << 20);                           // retransmit count
+    w.put_ulonglong(5);                              // ...and one seq
+    const cdr::WireBuf frame = w.seal();
+    EXPECT_THROW(decode_packet_into(scratch, frame), cdr::MarshalError);
+  }
+  EXPECT_LE(scratch.token.retransmit.capacity(), 16u);
+  {
+    cdr::Writer w(arena);
+    w.put_octet(static_cast<std::uint8_t>(MsgKind::Batch));
+    w.put_ulonglong(7);  // ring epoch
+    w.put_ulong(0);      // ring leader
+    w.put_ulong(0);      // origin
+    w.put_ulong(65536);  // message count
+    w.put_ulonglong(5);  // ...and a few bytes of the first one
+    const cdr::WireBuf frame = w.seal();
+    EXPECT_THROW(decode_packet_into(scratch, frame), cdr::MarshalError);
+  }
+  EXPECT_LE(scratch.batch.msgs.capacity(), 16u);
+}
 
 }  // namespace
 }  // namespace eternal::totem

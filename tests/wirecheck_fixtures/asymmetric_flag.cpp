@@ -1,7 +1,7 @@
 // wirecheck fixture: the deadline field is guarded by kFlagUrgent when
 // written but kFlagStale when read — the flag byte and the payload no
 // longer agree, so urgent notes truncate and stale notes over-read.
-void encode_note(Encoder& enc, const Note& n) {
+void encode_note(Writer& enc, const Note& n) {
   enc.put_octet(n.flags);
   enc.put_string(n.text);
   if (n.flags & kFlagUrgent) {

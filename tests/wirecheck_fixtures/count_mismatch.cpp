@@ -1,6 +1,6 @@
 // wirecheck fixture: the writer appends a crc the reader never consumes —
 // anything framed after this header starts four bytes late.
-void encode_header(Encoder& enc, const Header& h) {
+void encode_header(Writer& enc, const Header& h) {
   enc.put_ulong(h.version);
   enc.put_ulong(h.length);
   enc.put_ulong(h.crc);

@@ -2,7 +2,7 @@
 // switch forgot Blue and has no default — Blue frames decode garbage.
 enum class Shade { Red, Green, Blue };
 
-void encode_shade(Encoder& enc, const Msg& m) {
+void encode_shade(Writer& enc, const Msg& m) {
   enc.put_octet(tag_of(m.shade));
   switch (m.shade) {
     case Shade::Red:

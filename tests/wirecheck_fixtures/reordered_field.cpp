@@ -1,7 +1,7 @@
 // wirecheck fixture: the reader consumes y before x, but the writer
 // produced x first. Classic reorder drift — both sides still compile and
 // round-trip their own output, yet cross-version peers corrupt state.
-void encode_point(Encoder& enc, const Point& p) {
+void encode_point(Writer& enc, const Point& p) {
   enc.put_ulong(p.x);
   enc.put_ulonglong(p.y);
 }

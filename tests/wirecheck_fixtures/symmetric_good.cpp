@@ -1,7 +1,7 @@
 // wirecheck fixture: a fully symmetric codec — named helper pair, counted
 // loop, flag-guarded tail, and bare encode paired with decode_record by
 // the leftover rule. Must produce zero findings.
-void put_pair(Encoder& enc, const P& p) {
+void put_pair(Writer& enc, const P& p) {
   enc.put_ulong(p.a);
   enc.put_ulong(p.b);
 }
@@ -14,7 +14,8 @@ P get_pair(Decoder& dec) {
 }
 
 Bytes encode(const Rec& r) {
-  Encoder enc;
+  Arena arena;
+  Writer enc(arena);
   enc.put_octet(r.flags);
   put_pair(enc, r.head);
   enc.put_ulong(item_count(r));
@@ -24,7 +25,7 @@ Bytes encode(const Rec& r) {
   if (r.flags & kFlagTail) {
     enc.put_ulonglong(r.tail);
   }
-  return enc.take();
+  return enc.seal().to_bytes();
 }
 
 Rec decode_record(const Bytes& wire) {

@@ -1,6 +1,6 @@
 // wirecheck fixture: the reader widened seconds to 64 bits without the
 // writer — every field after it is now read from the wrong offset.
-void encode_stamp(Encoder& enc, const Stamp& s) {
+void encode_stamp(Writer& enc, const Stamp& s) {
   enc.put_ulong(s.seconds);
   enc.put_ulong(s.nanos);
 }

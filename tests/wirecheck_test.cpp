@@ -112,7 +112,7 @@ TEST(WirecheckFixtures, StatsCountPairsAndCheckedSwitches) {
 TEST(WirecheckAnalyzer, OneWayCodecsAreNotReported) {
   // A writer with no reader (checkpoint dumps, log framing) is legitimate.
   const std::string one_way =
-      "void encode_checkpoint(Encoder& enc, const State& s) {\n"
+      "void encode_checkpoint(Writer& enc, const State& s) {\n"
       "  enc.put_ulong(s.epoch);\n"
       "  enc.put_string(s.blob);\n"
       "}\n";
@@ -122,11 +122,11 @@ TEST(WirecheckAnalyzer, OneWayCodecsAreNotReported) {
   // framers share one demux decoder) must not leftover-pair either writer
   // with the reader.
   const std::string giop_shape =
-      "void encode_request(Encoder& enc, const Req& r) {\n"
+      "void encode_request(Writer& enc, const Req& r) {\n"
       "  enc.put_ulong(r.id);\n"
       "  enc.put_string(r.op);\n"
       "}\n"
-      "void encode_reply(Encoder& enc, const Rep& r) {\n"
+      "void encode_reply(Writer& enc, const Rep& r) {\n"
       "  enc.put_ulong(r.id);\n"
       "  enc.put_octet(r.status);\n"
       "}\n"
@@ -143,7 +143,7 @@ TEST(WirecheckAnalyzer, GuardReadInsideConditionStaysSymmetric) {
   // byte inside the if-condition. Both sides flatten to u8 then a
   // conditional group — the idiom must compare clean.
   const std::string src =
-      "void put_frame(Encoder& enc, const F& f) {\n"
+      "void put_frame(Writer& enc, const F& f) {\n"
       "  enc.put_boolean(f.traced);\n"
       "  if (f.traced) {\n"
       "    enc.put_ulonglong(f.trace_id);\n"
@@ -162,7 +162,7 @@ TEST(WirecheckAnalyzer, GuardReadInsideConditionStaysSymmetric) {
 
 TEST(WirecheckAnalyzer, LineSuppressionAndUmbrella) {
   const std::string base =
-      "void put_x(Encoder& e, const X& x) {\n"
+      "void put_x(Writer& e, const X& x) {\n"
       "  e.put_ulong(x.a);\n"
       "}\n"
       "X get_x(Decoder& d) {\n"
@@ -200,7 +200,7 @@ TEST(WirecheckAnalyzer, FileSuppression) {
   const std::string src =
       "// lint:allow-file(wirecheck) — fixture: primitive layer, verified "
       "by round-trip tests\n"
-      "void put_x(Encoder& e, const X& x) { e.put_ulong(x.a); }\n"
+      "void put_x(Writer& e, const X& x) { e.put_ulong(x.a); }\n"
       "X get_x(Decoder& d) { X x; x.a = d.get_ulonglong(); return x; }\n";
   EXPECT_TRUE(wirecheck::analyze_source("t.cpp", src).empty());
 }

@@ -53,7 +53,6 @@ const std::map<std::string, std::string>& prim_types() {
       {"put_octet", "u8"},       {"get_octet", "u8"},
       {"put_char", "u8"},        {"get_char", "u8"},
       {"put_boolean", "u8"},     {"get_boolean", "u8"},
-      {"make_encapsulation", "u8"},  // writes the endian flag byte
       {"put_ushort", "u16"},     {"get_ushort", "u16"},
       {"put_short", "u16"},      {"get_short", "u16"},
       {"put_ulong", "u32"},      {"get_ulong", "u32"},
@@ -66,11 +65,14 @@ const std::map<std::string, std::string>& prim_types() {
       {"get_string_view", "str"},  // borrowed read of the same layout
       {"put_octet_seq", "bytes"},{"get_octet_seq", "bytes"},
       {"get_octet_seq_buf", "bytes"},  // zero-copy read of the same layout
-      {"put_encapsulation", "encap"}, {"get_encapsulation", "encap"},
-      // Writer's backpatched length field and in-place encapsulation open:
-      // a u32 slot and the endian flag byte. patch_ulong/end_encapsulation
-      // write no new fields and are ignored by the naming rules.
+      {"get_encapsulation", "encap"},
+      // Writer's backpatched length field, in-place octet sequence and
+      // in-place encapsulation open: a u32 slot, a sequence<octet> whose
+      // content follows, and the endian flag byte. patch_ulong and the
+      // end_* calls write no new fields and are ignored by the naming
+      // rules.
       {"reserve_ulong", "u32"},
+      {"begin_octet_seq", "bytes"},
       {"begin_encapsulation", "u8"},
   };
   return types;
