@@ -1,5 +1,3 @@
-// lint:allow-file(wirecheck) — primitive CDR layer; see cdr.hpp. Verified
-// by cdr_test round-trips, not by the lexical op model.
 #include "cdr/cdr.hpp"
 
 #include <cstring>

@@ -1,11 +1,5 @@
 // CORBA Common Data Representation (CDR) marshaling.
 //
-// lint:allow-file(wirecheck) — this IS the primitive layer wirecheck models:
-// put_*/get_* here are defined in terms of raw byte moves and each other
-// (get_short via get_ushort, encapsulation via octet_seq), so the lexical
-// op model sees asymmetry where there is none. Symmetry of the trust root
-// is verified dynamically by the cdr_test round-trip suite instead.
-//
 // Implements the CDR transfer syntax used by GIOP: primitives are aligned to
 // their natural size relative to the start of the stream, strings carry a
 // length (including the terminating NUL) followed by the bytes, sequences
@@ -13,8 +7,20 @@
 // with an endianness flag. Both byte orders are supported on read; writes
 // use the host's order and record it in encapsulation flags, exactly as a
 // real ORB does.
+//
+// Wire messages are written once, as field visitors:
+//
+//     template <class IO> void io(IO& wire, cdr::Ref<IO, Msg> m) {
+//       wire.field(m.id);                        // width from the C++ type
+//       cdr::sequence(wire, m.items, ...);       // count, then elements
+//     }
+//
+// instantiated for Writer (encode) and Decoder (decode). Both expose the
+// same field() overload set and a kReading constant, so one field list is
+// both directions and encode and decode cannot drift apart.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -24,6 +30,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "cdr/arena.hpp"
@@ -147,6 +154,23 @@ class Writer {
   /// Seals the frame into an immutable WireBuf; the Writer is finished.
   WireBuf seal();
 
+  // --- field visitor surface (matches Decoder's) ---
+  static constexpr bool kReading = false;
+  void field(bool v) { put_boolean(v); }
+  void field(std::uint8_t v) { put_octet(v); }
+  void field(std::int32_t v) { put_long(v); }
+  void field(std::uint32_t v) { put_ulong(v); }
+  void field(std::uint64_t v) { put_ulonglong(v); }
+  void field(const std::string& s) { put_string(s); }
+  void field(const WireBuf& b) { put_octet_seq(b); }
+  void field(const Bytes& b) { put_octet_seq(b); }
+  /// A fixed-capacity NUL-padded C string, written as a CDR string.
+  template <std::size_t N>
+  void field(const char (&s)[N]) {
+    put_string({s, static_cast<std::size_t>(
+                       std::find(s, s + N, '\0') - s)});
+  }
+
  private:
   template <typename T>
   void put_aligned(T v) {
@@ -268,6 +292,30 @@ class Decoder {
   /// nested get_octet_seq_buf slices still share the source frame.
   Decoder get_encapsulation();
 
+  // --- field visitor surface (matches Writer's) ---
+  // Strings are assigned from borrowed views, so a reused object keeps its
+  // capacity; WireBufs are slices of the frame in View mode.
+  static constexpr bool kReading = true;
+  void field(bool& v) { v = get_boolean(); }
+  void field(std::uint8_t& v) { v = get_octet(); }
+  void field(std::int32_t& v) { v = get_long(); }
+  void field(std::uint32_t& v) { v = get_ulong(); }
+  void field(std::uint64_t& v) { v = get_ulonglong(); }
+  void field(std::string& s) { s.assign(get_string_view()); }
+  void field(WireBuf& b) { b = get_octet_seq_buf(); }
+  void field(Bytes& b) {
+    const std::span<const std::uint8_t> v = get_raw(get_ulong());
+    b.assign(v.begin(), v.end());
+  }
+  /// A fixed-capacity C string: truncated to N - 1 characters, NUL-padded.
+  template <std::size_t N>
+  void field(char (&s)[N]) {
+    const std::string_view v = get_string_view();
+    const std::size_t n = std::min(v.size(), N - 1);
+    std::memcpy(s, v.data(), n);
+    std::memset(s + n, 0, N - n);
+  }
+
  private:
   template <typename T>
   T get_aligned() {
@@ -300,6 +348,83 @@ class Decoder {
   const WireBuf* src_ = nullptr;  // View mode: frame the span was taken from
   std::size_t src_off_ = 0;       // offset of data_[0] within *src_
 };
+
+/// A field visitor's view of a message: mutable when decoding into it,
+/// const when encoding from it.
+template <class IO, class T>
+using Ref = std::conditional_t<IO::kReading, T&, const T&>;
+
+/// sequence<T>: a ulong count, then `each` over every element. On read a
+/// count above `max` throws MarshalError(what), the container is refilled
+/// in place, and at most remaining() / min_wire_bytes elements are
+/// reserved: a count is only a claim until the bytes behind it are read.
+template <class IO, class Seq, class Each>
+void sequence(IO& io, Seq& seq, std::uint32_t max, std::size_t min_wire_bytes,
+              const char* what, Each&& each) {
+  if constexpr (IO::kReading) {
+    std::uint32_t n = 0;
+    io.field(n);
+    if (n > max) throw MarshalError(what);
+    seq.clear();
+    if constexpr (requires { seq.reserve(n); }) {
+      seq.reserve(std::min<std::size_t>(n, io.remaining() / min_wire_bytes));
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if constexpr (requires { seq.emplace_back(); }) {
+        each(seq.emplace_back());
+      } else {
+        typename Seq::value_type e{};
+        each(e);
+        seq.insert(std::move(e));
+      }
+    }
+  } else {
+    io.field(static_cast<std::uint32_t>(seq.size()));
+    for (const auto& e : seq) each(e);
+  }
+}
+
+/// A fixed value (magic, version, framing octet): written as is; on read
+/// any other value throws MarshalError(what).
+template <class IO, class T>
+void constant(IO& io, T value, const char* what) {
+  if constexpr (IO::kReading) {
+    T got{};
+    io.field(got);
+    if (got != value) throw MarshalError(what);
+  } else {
+    io.field(value);
+  }
+}
+
+/// An enum as its underlying integer; on read a value outside
+/// [first, last] throws MarshalError(what).
+template <class IO, class E>
+void enumeration(IO& io, E& e, std::remove_const_t<E> first,
+                 std::remove_const_t<E> last, const char* what) {
+  using U = std::underlying_type_t<std::remove_const_t<E>>;
+  if constexpr (IO::kReading) {
+    U raw{};
+    io.field(raw);
+    if (raw < static_cast<U>(first) || raw > static_cast<U>(last)) {
+      throw MarshalError(what);
+    }
+    e = static_cast<E>(raw);
+  } else {
+    io.field(static_cast<U>(e));
+  }
+}
+
+/// The endian flag an encapsulation's content opens with: the writer
+/// records the host's byte order, the reader adopts the recorded one.
+template <class IO>
+void endian_flag(IO& io) {
+  if constexpr (IO::kReading) {
+    io.set_swap(io.get_boolean() != kHostLittleEndian);
+  } else {
+    io.put_boolean(kHostLittleEndian);
+  }
+}
 
 /// The former name of Writer, kept only because the frozen perfbench
 /// workloads still spell a Replica::get_state parameter with it. Nothing

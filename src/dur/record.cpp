@@ -57,75 +57,79 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t len) {
   return c ^ 0xFFFFFFFFu;
 }
 
+namespace {
+
+template <class IO>
+void io(IO& wire, cdr::Ref<IO, JournalRecord> r) {
+  wire.field(r.index);
+  io(wire, r.carrier);
+  wire.field(r.sender);
+  wire.field(r.kind);
+  wire.field(r.group);
+  io(wire, r.op);
+  wire.field(r.payload);
+}
+
+// `blob`, when set, writes the checkpoint blob in place instead of r.blob.
+template <class IO>
+void io(IO& wire, cdr::Ref<IO, CheckpointRecord> r,
+        const BlobWriter& blob = nullptr) {
+  wire.field(r.group);
+  wire.field(r.style);
+  wire.field(r.state_version);
+  wire.field(r.digest);
+  wire.field(r.position);
+  wire.field(r.max_epoch);
+  wire.field(r.client_next_op);
+  if constexpr (!IO::kReading) {
+    if (blob) {
+      wire.begin_octet_seq();
+      blob(wire);
+      wire.end_octet_seq();
+      return;
+    }
+  }
+  wire.field(r.blob);
+}
+
+template <class IO>
+void io(IO& wire, cdr::Ref<IO, MetaRecord> r) {
+  wire.field(r.max_epoch);
+  wire.field(r.client_next_op);
+}
+
+template <class Record>
+Record decode(cdr::Decoder& in) {
+  Record r;
+  io(in, r);
+  return r;
+}
+
+}  // namespace
+
 void encode_journal_record_into(cdr::Writer& out, const JournalRecord& r) {
-  out.put_ulonglong(r.index);
-  out.put_ulonglong(r.carrier.epoch);
-  out.put_ulonglong(r.carrier.seq);
-  out.put_ulong(r.sender);
-  out.put_octet(r.kind);
-  out.put_string(r.group);
-  out.put_ulonglong(r.op.parent.epoch);
-  out.put_ulonglong(r.op.parent.seq);
-  out.put_ulonglong(r.op.op_seq);
-  out.put_octet_seq(r.payload);
+  io(out, r);
 }
 
 JournalRecord decode_journal_record(cdr::Decoder& in) {
-  JournalRecord r;
-  r.index = in.get_ulonglong();
-  r.carrier.epoch = in.get_ulonglong();
-  r.carrier.seq = in.get_ulonglong();
-  r.sender = in.get_ulong();
-  r.kind = in.get_octet();
-  r.group = in.get_string();
-  r.op.parent.epoch = in.get_ulonglong();
-  r.op.parent.seq = in.get_ulonglong();
-  r.op.op_seq = in.get_ulonglong();
-  r.payload = in.get_octet_seq();
-  return r;
+  return decode<JournalRecord>(in);
 }
 
 void encode_checkpoint_record_into(cdr::Writer& out, const CheckpointRecord& r,
                                    const BlobWriter& blob) {
-  out.put_string(r.group);
-  out.put_octet(r.style);
-  out.put_ulonglong(r.state_version);
-  out.put_ulonglong(r.digest);
-  out.put_ulonglong(r.position);
-  out.put_ulonglong(r.max_epoch);
-  out.put_ulonglong(r.client_next_op);
-  out.begin_octet_seq();
-  if (blob) {
-    blob(out);
-  } else {
-    out.put_raw(r.blob);
-  }
-  out.end_octet_seq();
+  io(out, r, blob);
 }
 
 CheckpointRecord decode_checkpoint_record(cdr::Decoder& in) {
-  CheckpointRecord r;
-  r.group = in.get_string();
-  r.style = in.get_octet();
-  r.state_version = in.get_ulonglong();
-  r.digest = in.get_ulonglong();
-  r.position = in.get_ulonglong();
-  r.max_epoch = in.get_ulonglong();
-  r.client_next_op = in.get_ulonglong();
-  r.blob = in.get_octet_seq();
-  return r;
+  return decode<CheckpointRecord>(in);
 }
 
 void encode_meta_record_into(cdr::Writer& out, const MetaRecord& r) {
-  out.put_ulonglong(r.max_epoch);
-  out.put_ulonglong(r.client_next_op);
+  io(out, r);
 }
 
 MetaRecord decode_meta_record(cdr::Decoder& in) {
-  MetaRecord r;
-  r.max_epoch = in.get_ulonglong();
-  r.client_next_op = in.get_ulonglong();
-  return r;
+  return decode<MetaRecord>(in);
 }
 
 void frame_begin(cdr::Writer& out) {

@@ -10,7 +10,8 @@
 // both stop the scan cleanly at the last intact prefix instead of feeding
 // garbage to the replay path.
 //
-// Three record payloads exist, each with a wirecheck-paired codec:
+// Three record payloads exist, each written once as a field visitor that
+// both encodes and decodes it (record.cpp):
 //
 //  * JournalRecord — one totally-ordered delivery addressed to a hosted
 //    group: its absolute index (monotonic across compaction), total-order

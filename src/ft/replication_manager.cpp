@@ -7,38 +7,31 @@
 
 namespace eternal::ft {
 
+namespace {
+// An encapsulation's content: the endian flag, then the fields.
+template <class IO>
+void io(IO& wire, cdr::Ref<IO, Iogr> iogr) {
+  cdr::endian_flag(wire);
+  wire.field(iogr.type_id);
+  wire.field(iogr.group);
+  wire.field(iogr.version);
+  // Node, then the object key's length.
+  cdr::sequence(wire, iogr.profiles, 4096, 8, "implausible IOGR profile count",
+                [&](auto& p) {
+                  wire.field(p.node);
+                  wire.field(p.object_key);
+                });
+}
+}  // namespace
+
 cdr::Bytes Iogr::encode() const {
-  // An encapsulation's content: the endian flag, then the fields.
-  cdr::Arena arena;
-  cdr::Writer w(arena);
-  w.put_boolean(cdr::kHostLittleEndian);
-  w.put_string(type_id);
-  w.put_string(group);
-  w.put_ulong(version);
-  w.put_ulong(static_cast<std::uint32_t>(profiles.size()));
-  for (const auto& p : profiles) {
-    w.put_ulong(p.node);
-    w.put_octet_seq(p.object_key);
-  }
-  return cdr::Bytes(w.written().begin(), w.written().end());
+  return cdr::make_bytes([this](cdr::Writer& w) { io(w, *this); });
 }
 
 Iogr Iogr::decode(const cdr::Bytes& wire) {
-  cdr::Decoder outer(wire);
-  const bool little = outer.get_boolean();
-  outer.set_swap(little != cdr::kHostLittleEndian);
+  cdr::Decoder dec(wire);
   Iogr iogr;
-  iogr.type_id = outer.get_string();
-  iogr.group = outer.get_string();
-  iogr.version = outer.get_ulong();
-  const std::uint32_t n = outer.get_ulong();
-  if (n > 4096) throw cdr::MarshalError("implausible IOGR profile count");
-  for (std::uint32_t i = 0; i < n; ++i) {
-    IogrProfile p;
-    p.node = outer.get_ulong();
-    p.object_key = outer.get_octet_seq();
-    iogr.profiles.push_back(std::move(p));
-  }
+  io(dec, iogr);
   return iogr;
 }
 

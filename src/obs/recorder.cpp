@@ -16,38 +16,44 @@ namespace {
 constexpr std::uint32_t kMagic = 0x45544652;  // "ETFR"
 constexpr std::uint32_t kVersion = 1;
 
-void put_record(cdr::Writer& w, const FlightRecord& r) {
-  w.put_ulonglong(r.time);
-  w.put_ulonglong(r.end);
-  w.put_ulong(r.node);
-  w.put_octet(static_cast<std::uint8_t>(r.stream));
-  w.put_octet(r.kind);
-  w.put_ulonglong(r.op.parent_epoch);
-  w.put_ulonglong(r.op.parent_seq);
-  w.put_ulonglong(r.op.op_seq);
-  w.put_ulonglong(r.trace_id);
-  w.put_ulonglong(r.span_id);
-  w.put_ulonglong(r.parent_span);
-  w.put_string(r.detail_str());
+template <class IO>
+void io(IO& wire, cdr::Ref<IO, FlightRecord> r) {
+  wire.field(r.time);
+  wire.field(r.end);
+  wire.field(r.node);
+  cdr::enumeration(wire, r.stream, FlightRecord::Stream::Span,
+                   FlightRecord::Stream::Journal, "bad flight-record stream");
+  wire.field(r.kind);
+  wire.field(r.op.parent_epoch);
+  wire.field(r.op.parent_seq);
+  wire.field(r.op.op_seq);
+  wire.field(r.trace_id);
+  wire.field(r.span_id);
+  wire.field(r.parent_span);
+  wire.field(r.detail);
 }
 
-FlightRecord get_record(cdr::Decoder& dec) {
-  FlightRecord r;
-  r.time = dec.get_ulonglong();
-  r.end = dec.get_ulonglong();
-  r.node = dec.get_ulong();
-  const std::uint8_t stream = dec.get_octet();
-  if (stream > 1) throw cdr::MarshalError("bad flight-record stream");
-  r.stream = static_cast<FlightRecord::Stream>(stream);
-  r.kind = dec.get_octet();
-  r.op.parent_epoch = dec.get_ulonglong();
-  r.op.parent_seq = dec.get_ulonglong();
-  r.op.op_seq = dec.get_ulonglong();
-  r.trace_id = dec.get_ulonglong();
-  r.span_id = dec.get_ulonglong();
-  r.parent_span = dec.get_ulonglong();
-  r.set_detail(dec.get_string());
-  return r;
+/// One node's ring as the dump lays it out.
+struct DumpRing {
+  std::uint32_t node = 0;
+  std::uint64_t absorbed = 0;
+  std::vector<FlightRecord> records;  // oldest first
+};
+
+template <class IO>
+void io(IO& wire, cdr::Ref<IO, std::vector<DumpRing>> rings) {
+  cdr::constant(wire, kMagic, "not a flight-recorder dump (bad magic)");
+  cdr::constant(wire, kVersion, "unsupported flight-recorder dump version");
+  // Node, absorbed, record count.
+  cdr::sequence(wire, rings, 65536, 16, "implausible node count",
+                [&](auto& ring) {
+                  wire.field(ring.node);
+                  wire.field(ring.absorbed);
+                  // Fixed fields, then the shortest detail string.
+                  cdr::sequence(wire, ring.records, 1u << 24, 70 + 5,
+                                "implausible record count",
+                                [&](auto& r) { io(wire, r); });
+                });
 }
 
 std::string sanitize_token(const std::string& s) {
@@ -191,43 +197,21 @@ std::vector<FlightRecord> FlightRecorder::records() const {
 }
 
 std::vector<std::uint8_t> FlightRecorder::encode() const {
-  cdr::Arena arena;
-  cdr::Writer w(arena);
-  w.put_ulong(kMagic);
-  w.put_ulong(kVersion);
-  w.put_ulong(static_cast<std::uint32_t>(rings_.size()));
+  std::vector<DumpRing> dump;
   for (const auto& [node, ring] : rings_) {
-    w.put_ulong(node);
-    w.put_ulonglong(ring.total);
-    const std::vector<FlightRecord> recs = ring_records(ring);
-    w.put_ulong(static_cast<std::uint32_t>(recs.size()));
-    for (const FlightRecord& r : recs) put_record(w, r);
+    dump.push_back({node, ring.total, ring_records(ring)});
   }
-  return std::vector<std::uint8_t>(w.written().begin(), w.written().end());
+  return cdr::make_bytes([&](cdr::Writer& w) { io(w, dump); });
 }
 
 std::vector<FlightRecord> FlightRecorder::decode(
     const std::vector<std::uint8_t>& bytes) {
   cdr::Decoder dec(bytes);
-  if (dec.get_ulong() != kMagic) {
-    throw cdr::MarshalError("not a flight-recorder dump (bad magic)");
-  }
-  if (dec.get_ulong() != kVersion) {
-    throw cdr::MarshalError("unsupported flight-recorder dump version");
-  }
-  const std::uint32_t nodes = dec.get_ulong();
-  if (nodes > 65536) throw cdr::MarshalError("implausible node count");
+  std::vector<DumpRing> dump;
+  io(dec, dump);
   std::vector<FlightRecord> out;
-  for (std::uint32_t n = 0; n < nodes; ++n) {
-    (void)dec.get_ulong();      // node id (repeated in each record)
-    (void)dec.get_ulonglong();  // total absorbed
-    const std::uint32_t count = dec.get_ulong();
-    if (count > (1u << 24)) {
-      throw cdr::MarshalError("implausible record count");
-    }
-    for (std::uint32_t i = 0; i < count; ++i) {
-      out.push_back(get_record(dec));
-    }
+  for (const DumpRing& ring : dump) {
+    out.insert(out.end(), ring.records.begin(), ring.records.end());
   }
   return out;
 }

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <string>
 
+#include "cdr/cdr.hpp"
 #include "util/hash.hpp"
 
 namespace eternal::rep {
@@ -52,6 +53,20 @@ struct OperationId {
                                            util::fnv1a_u64(parent.epoch)));
   }
 };
+
+// Wire layout of the identifiers (field visitors, cdr.hpp), shared by the
+// envelope and the durable journal record.
+template <class IO>
+void io(IO& wire, cdr::Ref<IO, GlobalSeq> s) {
+  wire.field(s.epoch);
+  wire.field(s.seq);
+}
+
+template <class IO>
+void io(IO& wire, cdr::Ref<IO, OperationId> op) {
+  io(wire, op.parent);
+  wire.field(op.op_seq);
+}
 
 struct InvocationId {
   GlobalSeq carrier;  // message carrying this copy (differs per duplicate)

@@ -3,81 +3,50 @@
 namespace eternal::rep {
 
 namespace {
-void put_seq(cdr::Writer& w, const GlobalSeq& s) {
-  w.put_ulonglong(s.epoch);
-  w.put_ulonglong(s.seq);
-}
-GlobalSeq get_seq(cdr::Decoder& dec) {
-  GlobalSeq s;
-  s.epoch = dec.get_ulonglong();
-  s.seq = dec.get_ulonglong();
-  return s;
+template <class IO>
+void io(IO& wire, cdr::Ref<IO, Envelope> env) {
+  // lint: hotpath — one pass per envelope sent and per totally-ordered
+  // delivery. On decode, strings are assigned from borrowed views so a
+  // reused envelope's capacity absorbs them; WireBuf members are frame
+  // slices.
+  cdr::enumeration(wire, env.kind, Kind::Invocation, Kind::StateDigest,
+                   "bad envelope kind");
+  io(wire, env.op_id);
+  wire.field(env.target_group);
+  wire.field(env.reply_group);
+  wire.field(env.source_group);
+  wire.field(env.fulfillment);
+  wire.field(env.timestamp);
+  wire.field(env.giop);
+  wire.field(env.state_version);
+  wire.field(env.operation);
+  wire.field(env.update);
+  wire.field(env.read_only);
+  wire.field(env.node);
+  wire.field(env.round);
+  wire.field(env.has_history);
+  wire.field(env.chunk_index);
+  wire.field(env.chunk_count);
+  wire.field(env.blob);
+  wire.field(env.digest);
+  // The traced flag is derived from the context, which rides only when set.
+  bool traced = env.trace_id != 0 || env.parent_span != 0;
+  wire.field(traced);
+  if constexpr (IO::kReading) {
+    if (!traced) env.trace_id = env.parent_span = 0;
+  }
+  if (traced) {
+    wire.field(env.trace_id);
+    wire.field(env.parent_span);
+  }
 }
 }  // namespace
 
-void encode_envelope_into(cdr::Writer& w, const Envelope& env) {
-  w.put_octet(static_cast<std::uint8_t>(env.kind));
-  put_seq(w, env.op_id.parent);
-  w.put_ulonglong(env.op_id.op_seq);
-  w.put_string(env.target_group);
-  w.put_string(env.reply_group);
-  w.put_string(env.source_group);
-  w.put_boolean(env.fulfillment);
-  w.put_ulonglong(env.timestamp);
-  w.put_octet_seq(env.giop);
-  w.put_ulonglong(env.state_version);
-  w.put_string(env.operation);
-  w.put_octet_seq(env.update);
-  w.put_boolean(env.read_only);
-  w.put_ulong(env.node);
-  w.put_ulong(env.round);
-  w.put_boolean(env.has_history);
-  w.put_ulong(env.chunk_index);
-  w.put_ulong(env.chunk_count);
-  w.put_octet_seq(env.blob);
-  w.put_ulonglong(env.digest);
-  const bool traced = env.trace_id != 0 || env.parent_span != 0;
-  w.put_boolean(traced);
-  if (traced) {
-    w.put_ulonglong(env.trace_id);
-    w.put_ulonglong(env.parent_span);
-  }
-}
+void encode_envelope_into(cdr::Writer& w, const Envelope& env) { io(w, env); }
 
 void decode_envelope_into(Envelope& env, const cdr::WireBuf& frame) {
-  // lint: hotpath — scratch-envelope decode, one per totally-ordered
-  // delivery. Strings are assigned from borrowed views so a reused
-  // envelope's capacity absorbs them; WireBuf members are frame slices.
   cdr::Decoder dec(frame);
-  const std::uint8_t kind = dec.get_octet();
-  if (kind < 1 || kind > 7) throw cdr::MarshalError("bad envelope kind");
-  env.kind = static_cast<Kind>(kind);
-  env.op_id.parent = get_seq(dec);
-  env.op_id.op_seq = dec.get_ulonglong();
-  env.target_group.assign(dec.get_string_view());
-  env.reply_group.assign(dec.get_string_view());
-  env.source_group.assign(dec.get_string_view());
-  env.fulfillment = dec.get_boolean();
-  env.timestamp = dec.get_ulonglong();
-  env.giop = dec.get_octet_seq_buf();
-  env.state_version = dec.get_ulonglong();
-  env.operation.assign(dec.get_string_view());
-  env.update = dec.get_octet_seq_buf();
-  env.read_only = dec.get_boolean();
-  env.node = dec.get_ulong();
-  env.round = dec.get_ulong();
-  env.has_history = dec.get_boolean();
-  env.chunk_index = dec.get_ulong();
-  env.chunk_count = dec.get_ulong();
-  env.blob = dec.get_octet_seq_buf();
-  env.digest = dec.get_ulonglong();
-  if (dec.get_boolean()) {
-    env.trace_id = dec.get_ulonglong();
-    env.parent_span = dec.get_ulonglong();
-  } else {
-    env.trace_id = 0;
-    env.parent_span = 0;
-  }
+  io(dec, env);
 }
 
 Envelope decode_envelope(const cdr::WireBuf& frame) {

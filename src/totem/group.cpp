@@ -47,17 +47,20 @@ void GroupLayer::announce() {
   // Announcements carry the full group list, so they are idempotent and a
   // re-announcement after a view change fully reconstructs remote state.
   cdr::Writer w(node_.arena());
-  w.put_ulong(static_cast<std::uint32_t>(my_groups_.size()));
-  for (const auto& g : my_groups_) w.put_string(g);
+  encode_group_announce_into(w, my_groups_);
   node_.broadcast(kAnnounceGroup, w.seal(), /*control=*/true);
 }
 
 void GroupLayer::handle_announce(NodeId origin, const cdr::WireBuf& payload) {
-  cdr::Decoder dec(payload);
-  const std::uint32_t n = dec.get_ulong();
-  if (n > 65536) throw cdr::MarshalError("implausible group count");
   std::set<std::string> groups;
-  for (std::uint32_t i = 0; i < n; ++i) groups.insert(dec.get_string());
+  try {
+    decode_group_announce(payload, groups);
+  } catch (const cdr::MarshalError&) {
+    // A malformed announcement is dropped and counted; the sender keeps
+    // the groups it announced before.
+    node_.count_malformed();
+    return;
+  }
   node_groups_[origin] = std::move(groups);
   recompute_and_fire();
 }

@@ -105,7 +105,7 @@ struct NodeStats {
   std::uint64_t token_losses = 0;
   std::uint64_t views_installed = 0;
   std::uint64_t batch_frames = 0;  // Batch frames sent (>= 2 msgs each)
-  std::uint64_t malformed_dropped = 0;  // undecodable frames received
+  std::uint64_t malformed_dropped = 0;  // undecodable frames/announcements
 };
 
 /// Stable handles into the registry for the node's hot-path counters,
@@ -194,6 +194,9 @@ class Node {
     max_epoch_seen_ = std::max(max_epoch_seen_, epoch);
   }
   NodeStats stats() const noexcept { return counters_.snapshot(); }
+  /// Counts a delivered payload the layer above could not decode (a
+  /// malformed group announcement), alongside the undecodable frames.
+  void count_malformed() noexcept { counters_.malformed_dropped.inc(); }
   std::size_t backlog() const noexcept {
     return pending_.size() + recovery_pending_.size();
   }

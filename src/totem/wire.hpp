@@ -18,6 +18,7 @@
 #include <compare>
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -182,6 +183,14 @@ void decode_packet_into(Packet& out, const cdr::WireBuf& frame);
 void encode_data_into(cdr::Writer& w, const DataMsg& d);
 cdr::WireBuf encode_data(cdr::Arena& arena, const DataMsg& d);
 DataMsg decode_data_payload(const cdr::WireBuf& payload);
+
+/// The group layer's announcement payload: every group the sending node
+/// hosts. Decoding assigns `groups` (a malformed payload throws
+/// cdr::MarshalError and may leave it partly filled).
+void encode_group_announce_into(cdr::Writer& w,
+                                const std::set<std::string>& groups);
+void decode_group_announce(const cdr::WireBuf& payload,
+                           std::set<std::string>& groups);
 
 /// Compat shims (tests, cold callers): one Bytes round-trip kept outside
 /// the Writer surface. Both delegate to the *_into codecs above.

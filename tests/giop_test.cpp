@@ -164,5 +164,29 @@ TEST(Giop, LocationForwardStatus) {
   EXPECT_EQ(msg.reply->reply_status, ReplyStatus::LocationForward);
 }
 
+// The client's inline request framing writes the header fields itself; it
+// must frame exactly what encode_request_into frames for the same header.
+TEST(Giop, InlineRequestMatchesHeaderFraming) {
+  const FtRequestContext ft{"client-3", 7, 900000};
+  const Bytes body{1, 2, 3};
+  for (const bool with_ft : {false, true}) {
+    RequestHeader hdr;
+    hdr.request_id = 42;
+    hdr.response_expected = false;
+    hdr.object_key = key("group/counter");
+    hdr.operation = "increment";
+    if (with_ft) {
+      hdr.service_contexts = {
+          {static_cast<std::uint32_t>(ServiceId::FtRequest),
+           cdr::WireBuf(ft.encode())}};
+    }
+    const Bytes inline_wire = cdr::make_bytes([&](cdr::Writer& w) {
+      encode_request_inline(w, 42, false, "group/counter", "increment",
+                            with_ft ? &ft : nullptr, body);
+    });
+    EXPECT_EQ(inline_wire, encode_request(hdr, body)) << with_ft;
+  }
+}
+
 }  // namespace
 }  // namespace eternal::giop

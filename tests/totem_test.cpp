@@ -495,6 +495,33 @@ TEST(TotemIngress, MalformedUnicastIsDroppedAndCounted) {
   EXPECT_EQ(c.fabric.node(0).stats().malformed_dropped, 0u);
 }
 
+// The group layer's announcement payload is hostile input too: a malformed
+// one is dropped and counted, the sender keeps the groups it announced
+// before, and the ring keeps delivering.
+TEST(TotemIngress, MalformedGroupAnnounceIsDroppedAndCounted) {
+  Cluster c(3);
+  c.fabric.group(0).join("g");
+  ASSERT_TRUE(c.converge());
+  c.sim.run_for(100 * kMillisecond);
+  ASSERT_EQ(c.fabric.group(1).members_of("g"), (std::vector<NodeId>{0}));
+  const std::uint8_t junk[3] = {0xde, 0xad, 0xbe};
+  c.fabric.node(0).broadcast(kAnnounceGroup,
+                             cdr::WireBuf(std::span<const std::uint8_t>(junk)),
+                             /*control=*/true);
+  c.sim.run_for(kSecond);
+  for (NodeId i = 0; i < 3; ++i) {
+    c.fabric.group(i).send("g", bytes("after" + std::to_string(i)));
+  }
+  c.sim.run_for(kSecond);
+  ASSERT_EQ(c.payloads(0).size(), 3u);
+  for (NodeId i = 0; i < 3; ++i) {
+    EXPECT_EQ(c.payloads(i), c.payloads(0)) << "node " << i;
+    EXPECT_EQ(c.fabric.group(i).members_of("g"), (std::vector<NodeId>{0}))
+        << "node " << i;
+    EXPECT_EQ(c.fabric.node(i).stats().malformed_dropped, 1u) << "node " << i;
+  }
+}
+
 // A count field may claim more elements than the frame has bytes left; the
 // decoder must not reserve for the claim before the underflow shows it up.
 TEST(TotemIngress, InflatedCountsDoNotReserveBeyondTheFrame) {

@@ -25,7 +25,7 @@
 // lines declaring a cdr::Writer/Arena, taking an arena() handle, or sealing
 // a frame never fire — a Writer bump-allocates into pooled slabs.
 //
-// Suppression mirrors wirecheck:
+// Suppression uses the shared lint:allow grammar (lexer.hpp):
 //     // lint:allow(hotpath-alloc: <why this allocation is sanctioned>)
 // on (or on the line above) the finding, or `lint:allow-file(...)` for a
 // whole file. Every surviving suppression must justify itself on its own

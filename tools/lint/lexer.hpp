@@ -1,17 +1,17 @@
 // lint::lexer — shared lexical front end for the static-analysis toolkit.
 //
-// Every analyzer in tools/lint (detlint, wirecheck, hotpath-alloc) is a
+// Every analyzer in tools/lint (detlint, hotpath-alloc) is a
 // lexical scanner: it reasons about token-level patterns, not a full AST.
 // What they all need first is the same thing — the source text with comment
 // and string/char-literal *contents* blanked out (newlines preserved so
 // line numbers survive), plus the comments and string literals themselves,
 // each tagged with its line. This library is that front end, factored out
-// of detlint's original scrubber so all three analyzers share one lexer and
+// of detlint's original scrubber so the analyzers share one lexer and
 // one set of corner-case fixes (raw strings, digit separators, escapes).
 //
 // It also hosts the pieces every analyzer CLI shares: the Finding record,
 // text/JSON rendering, the source-tree walker, and the `lint:allow`
-// suppression-directive parser used by wirecheck and hotpath-alloc
+// suppression-directive parser used by hotpath-alloc
 // (detlint keeps its historical `detlint:allow(...)` file-scoped syntax).
 #pragma once
 
@@ -74,14 +74,14 @@ struct Lexed {
 Lexed lex(const std::string& text);
 
 // ---------------------------------------------------------------------------
-// Suppression directives (wirecheck / hotpath-alloc).
+// Suppression directives (hotpath-alloc).
 //
 //   // lint:allow(<rule>[: reason])          this line (or the next, when
 //                                            the comment sits on its own)
 //   // lint:allow(<rule>,<rule>,...)         several rules, no reason text
 //   // lint:allow-file(<rule>[: reason])     whole file
 //
-// The rule name `all`, or an analyzer's umbrella name (e.g. `wirecheck`),
+// The rule name `all`, or an analyzer's umbrella name,
 // suppresses every rule that analyzer owns.
 // ---------------------------------------------------------------------------
 
