@@ -70,13 +70,11 @@ struct FtCluster {
       : sim(seed), net(sim, n), fabric(sim, net, tp), domain(fabric, ep),
         rm(domain, notifier) {
     // Each cluster is a fresh experiment: apply the ETERNAL_TRACE /
-    // ETERNAL_JOURNAL toggles and wipe the previous cluster's telemetry, so
-    // an obs_report() after the sweep reads the last run's story.
+    // ETERNAL_BLACKBOX toggles and wipe the previous cluster's telemetry,
+    // so an obs_report() after the sweep reads the last run's story.
     obs::configure_from_env();
     obs::Registry::global().reset();
-    obs::Tracer::global().clear();
-    obs::Journal::global().clear();
-    obs::FlightRecorder::global().clear();
+    obs::Tracer::global().clear();  // empties the record store
     // Self-describing dumps: stamp the run seed first, so obsctl audit can
     // name the schedule behind any violation it reports.
     obs::Journal::global().emit(0, 0, obs::EventKind::RunMeta,
@@ -176,6 +174,12 @@ inline void obs_report(const std::string& name = {}) {
   std::printf("\n### observability — metrics registry snapshot\n\n```\n%s```\n",
               obs::Registry::global().to_text().c_str());
 
+  const auto lines = [](const std::vector<obs::FlightRecord>& recs) {
+    std::string out;
+    for (const obs::FlightRecord& r : recs) out += r.str() + '\n';
+    return out;
+  };
+  const auto& store = obs::FlightRecorder::global();
   const auto& tracer = obs::Tracer::global();
   if (tracer.enabled()) {
     std::printf("\n### observability — operation lifecycle trace\n\n");
@@ -183,24 +187,24 @@ inline void obs_report(const std::string& name = {}) {
       std::printf("last completed operation %s (%llu records captured, "
                   "%llu overwritten):\n\n```\n%s```\n",
                   op->str().c_str(),
-                  static_cast<unsigned long long>(tracer.recorded()),
-                  static_cast<unsigned long long>(tracer.dropped()),
-                  tracer.dump_text(*op).c_str());
+                  static_cast<unsigned long long>(store.absorbed()),
+                  static_cast<unsigned long long>(store.dropped()),
+                  lines(tracer.records_for(*op)).c_str());
     } else {
-      std::printf("(no completed operation in the ring: %zu records, "
+      std::printf("(no completed operation in the rings: %llu records, "
                   "%llu overwritten)\n",
-                  tracer.size(),
-                  static_cast<unsigned long long>(tracer.dropped()));
+                  static_cast<unsigned long long>(store.absorbed()),
+                  static_cast<unsigned long long>(store.dropped()));
     }
   }
 
-  const auto& journal = obs::Journal::global();
-  if (journal.enabled() && journal.size() > 0) {
+  const auto events = obs::Journal::global().events();
+  if (!events.empty()) {
     std::printf("\n### observability — membership & fault event journal "
-                "(%zu events, %llu dropped)\n\n```\n%s```\n",
-                journal.size(),
-                static_cast<unsigned long long>(journal.dropped()),
-                journal.dump_text().c_str());
+                "(%zu events, %llu records overwritten)\n\n```\n%s```\n",
+                events.size(),
+                static_cast<unsigned long long>(store.dropped()),
+                lines(events).c_str());
   }
 }
 

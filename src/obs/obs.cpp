@@ -17,19 +17,7 @@ bool truthy(const char* v) {
 void configure_from_env() {
   static const bool once = [] {
     if (truthy(std::getenv("ETERNAL_TRACE"))) Tracer::global().enable();
-    if (const char* cap = std::getenv("ETERNAL_TRACE_CAP")) {
-      const long n = std::atol(cap);
-      if (n > 0) Tracer::global().set_capacity(static_cast<std::size_t>(n));
-    }
-    if (const char* j = std::getenv("ETERNAL_JOURNAL"); j && !truthy(j)) {
-      Journal::global().enable(false);
-    }
-    if (const char* cap = std::getenv("ETERNAL_JOURNAL_CAP")) {
-      const long n = std::atol(cap);
-      if (n > 0) Journal::global().set_capacity(static_cast<std::size_t>(n));
-    }
     if (const char* dir = std::getenv("ETERNAL_BLACKBOX"); truthy(dir)) {
-      FlightRecorder::global().enable();
       FlightRecorder::global().set_dump_dir(dir);
     }
     if (const char* cap = std::getenv("ETERNAL_BLACKBOX_CAP")) {
@@ -45,24 +33,21 @@ void configure_from_env() {
 }
 
 std::string report_json() {
-  const Tracer& tracer = Tracer::global();
-  const Journal& journal = Journal::global();
-  const FlightRecorder& flight = FlightRecorder::global();
+  const FlightRecorder& store = FlightRecorder::global();
   std::ostringstream os;
   os << "{\"metrics\":" << Registry::global().to_json()
-     << ",\"trace\":{\"enabled\":" << (tracer.enabled() ? "true" : "false")
-     << ",\"recorded\":" << tracer.recorded()
-     << ",\"dropped\":" << tracer.dropped()
-     << ",\"records\":" << (tracer.enabled() ? tracer.dump_json() : "[]")
-     << "},\"journal\":{\"enabled\":" << (journal.enabled() ? "true" : "false")
-     << ",\"size\":" << journal.size()
-     << ",\"dropped\":" << journal.dropped()
-     << ",\"events\":" << journal.dump_json()
-     << "},\"flight\":{\"enabled\":" << (flight.enabled() ? "true" : "false")
-     << ",\"absorbed\":" << flight.absorbed()
-     << ",\"dropped\":" << flight.dropped()
-     << ",\"nodes\":" << flight.nodes()
-     << ",\"fault_dumps\":" << flight.fault_dumps() << "}}";
+     << ",\"trace\":{\"enabled\":"
+     << (Tracer::global().enabled() ? "true" : "false")
+     << "},\"records\":{\"absorbed\":" << store.absorbed()
+     << ",\"dropped\":" << store.dropped() << ",\"nodes\":" << store.nodes()
+     << ",\"fault_dumps\":" << store.fault_dumps() << ",\"list\":[";
+  bool first = true;
+  for (const FlightRecord& r : store.records()) {
+    if (!first) os << ',';
+    first = false;
+    os << r.json();
+  }
+  os << "]}}";
   return os.str();
 }
 

@@ -71,31 +71,108 @@ std::string sanitize_token(const std::string& s) {
 }
 }  // namespace
 
+const char* to_string(SpanEvent e) {
+  switch (e) {
+    case SpanEvent::ClientSend: return "client_send";
+    case SpanEvent::ClientRetransmit: return "client_retransmit";
+    case SpanEvent::TotemDeliver: return "totem_deliver";
+    case SpanEvent::ExecStart: return "exec_start";
+    case SpanEvent::ExecEnd: return "exec_end";
+    case SpanEvent::ReplySend: return "reply_send";
+    case SpanEvent::ReplyDeliver: return "reply_deliver";
+    case SpanEvent::DuplicateDropped: return "duplicate_dropped";
+    case SpanEvent::DuplicateReplyResent: return "duplicate_reply_resent";
+    case SpanEvent::SendSuppressed: return "send_suppressed";
+    case SpanEvent::ResponseSuppressed: return "response_suppressed";
+    case SpanEvent::StateUpdateApplied: return "state_update_applied";
+    case SpanEvent::FulfillmentRecorded: return "fulfillment_recorded";
+    case SpanEvent::FulfillmentReplayed: return "fulfillment_replayed";
+    case SpanEvent::StateDigestSent: return "state_digest_sent";
+    case SpanEvent::DivergenceDetected: return "divergence_detected";
+    case SpanEvent::TokenVisitSend: return "token_visit_send";
+    case SpanEvent::FailoverRetry: return "failover_retry";
+    case SpanEvent::ReadSkipped: return "read_skipped";
+    case SpanEvent::ResyncDeferred: return "resync_deferred";
+  }
+  return "?";
+}
+
+const char* to_string(EventKind k) {
+  switch (k) {
+    case EventKind::RingViewInstalled: return "ring_view_installed";
+    case EventKind::GroupViewInstalled: return "group_view_installed";
+    case EventKind::TokenLoss: return "token_loss";
+    case EventKind::RemergeDetected: return "remerge_detected";
+    case EventKind::PartitionSecondary: return "partition_secondary";
+    case EventKind::Failover: return "failover";
+    case EventKind::SelfPromotion: return "self_promotion";
+    case EventKind::StateTransferBegin: return "state_transfer_begin";
+    case EventKind::StateTransferEnd: return "state_transfer_end";
+    case EventKind::FaultSuspected: return "fault_suspected";
+    case EventKind::FaultCleared: return "fault_cleared";
+    case EventKind::ReplicaSpawned: return "replica_spawned";
+    case EventKind::MemberAdded: return "member_added";
+    case EventKind::MemberRemoved: return "member_removed";
+    case EventKind::DivergenceDetected: return "divergence_detected";
+    case EventKind::RunMeta: return "run_meta";
+    case EventKind::CheckpointCut: return "checkpoint_cut";
+    case EventKind::RecoveryBegin: return "recovery_begin";
+    case EventKind::RecoveryLoaded: return "recovery_loaded";
+    case EventKind::RecoveryEnd: return "recovery_end";
+    case EventKind::DomainRecovered: return "domain_recovered";
+  }
+  return "?";
+}
+
 std::string FlightRecord::detail_str() const {
   return std::string(detail,
                      std::find(detail, detail + kDetailCap, '\0'));
 }
 
-void FlightRecord::set_detail(const std::string& s) {
-  const std::size_t n = std::min(s.size(), kDetailCap - 1);
-  std::memcpy(detail, s.data(), n);
+void FlightRecord::set_detail(std::string_view head, std::string_view tail) {
+  std::size_t n = head.copy(detail, kDetailCap - 1);
+  if (!tail.empty() && n < kDetailCap - 1) {
+    detail[n++] = ' ';
+    n += tail.copy(detail + n, kDetailCap - 1 - n);
+  }
   std::memset(detail + n, 0, kDetailCap - n);
+}
+
+const char* FlightRecord::kind_str() const {
+  return stream == Stream::Span ? to_string(span_event())
+                                : to_string(journal_kind());
 }
 
 std::string FlightRecord::str() const {
   std::ostringstream os;
   os << '[' << time << "] node=" << node;
   if (stream == Stream::Span) {
-    os << " span " << to_string(span_event()) << ' ' << op.str();
+    os << " span " << kind_str() << ' ' << op.str();
     if (trace_id != 0) {
       os << " trace=" << trace_id << " span=" << span_id;
       if (parent_span != 0) os << " parent=" << parent_span;
+      if (end != time) os << " dur=" << (end - time);
     }
   } else {
-    os << " journal " << to_string(journal_kind());
+    os << " journal " << kind_str();
   }
   const std::string d = detail_str();
   if (!d.empty()) os << ' ' << d;
+  return os.str();
+}
+
+std::string FlightRecord::json() const {
+  std::ostringstream os;
+  os << "{\"time\":" << time << ",\"end\":" << end << ",\"node\":" << node
+     << ",\"stream\":\"" << (stream == Stream::Span ? "span" : "journal")
+     << "\",\"kind\":\"" << kind_str() << "\",\"op\":\"" << op.str()
+     << "\",\"trace\":" << trace_id << ",\"span\":" << span_id
+     << ",\"parent\":" << parent_span << ",\"detail\":\"";
+  for (const char ch : detail_str()) {
+    if (ch == '"' || ch == '\\') os << '\\';
+    os << ch;
+  }
+  os << "\"}";
   return os.str();
 }
 
@@ -113,43 +190,14 @@ void FlightRecorder::clear() {
   fault_dumps_ = 0;
 }
 
-void FlightRecorder::absorb(const FlightRecord& r) {
-  if (!enabled_) return;
-  Ring& ring = rings_[r.node];
-  if (ring.buf.size() < cap_) {
-    ring.buf.push_back(r);
-  } else {
-    ring.buf[ring.next] = r;
-    ring.next = (ring.next + 1) % cap_;
-  }
+FlightRecord& FlightRecorder::append(std::uint32_t node) {
+  Ring& ring = rings_[node];
   ++ring.total;
   ++absorbed_;
-}
-
-void FlightRecorder::absorb_span(const TraceRecord& r) {
-  FlightRecord rec;
-  rec.time = r.time;
-  rec.end = r.end;
-  rec.node = r.node;
-  rec.stream = FlightRecord::Stream::Span;
-  rec.kind = static_cast<std::uint8_t>(r.event);
-  rec.op = r.op;
-  rec.trace_id = r.trace_id;
-  rec.span_id = r.span_id;
-  rec.parent_span = r.parent_span;
-  rec.set_detail(r.detail);
-  absorb(rec);
-}
-
-void FlightRecorder::absorb_event(const JournalEvent& e) {
-  FlightRecord rec;
-  rec.time = e.time;
-  rec.end = e.time;
-  rec.node = e.node;
-  rec.stream = FlightRecord::Stream::Journal;
-  rec.kind = static_cast<std::uint8_t>(e.kind);
-  rec.set_detail(e.detail.empty() ? e.subject : e.subject + " " + e.detail);
-  absorb(rec);
+  if (ring.buf.size() < cap_) return ring.buf.emplace_back();
+  FlightRecord& cell = ring.buf[ring.next];
+  if (++ring.next == cap_) ring.next = 0;
+  return cell = FlightRecord{};
 }
 
 std::uint64_t FlightRecorder::dropped() const noexcept {

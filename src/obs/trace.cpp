@@ -2,177 +2,62 @@
 // (Meyers `global()`), shared diagnostics, not replica state.
 #include "obs/trace.hpp"
 
-#include <algorithm>
-#include <sstream>
-
-#include "obs/recorder.hpp"
-
 namespace eternal::obs {
 
-const char* to_string(SpanEvent e) {
-  switch (e) {
-    case SpanEvent::ClientSend: return "client_send";
-    case SpanEvent::ClientRetransmit: return "client_retransmit";
-    case SpanEvent::TotemDeliver: return "totem_deliver";
-    case SpanEvent::ExecStart: return "exec_start";
-    case SpanEvent::ExecEnd: return "exec_end";
-    case SpanEvent::ReplySend: return "reply_send";
-    case SpanEvent::ReplyDeliver: return "reply_deliver";
-    case SpanEvent::DuplicateDropped: return "duplicate_dropped";
-    case SpanEvent::DuplicateReplyResent: return "duplicate_reply_resent";
-    case SpanEvent::SendSuppressed: return "send_suppressed";
-    case SpanEvent::ResponseSuppressed: return "response_suppressed";
-    case SpanEvent::StateUpdateApplied: return "state_update_applied";
-    case SpanEvent::FulfillmentRecorded: return "fulfillment_recorded";
-    case SpanEvent::FulfillmentReplayed: return "fulfillment_replayed";
-    case SpanEvent::StateDigestSent: return "state_digest_sent";
-    case SpanEvent::DivergenceDetected: return "divergence_detected";
-    case SpanEvent::TokenVisitSend: return "token_visit_send";
-    case SpanEvent::FailoverRetry: return "failover_retry";
-    case SpanEvent::ReadSkipped: return "read_skipped";
-    case SpanEvent::ResyncDeferred: return "resync_deferred";
-  }
-  return "?";
-}
-
-Tracer::Tracer(std::size_t capacity) : cap_(capacity ? capacity : 1) {
-  ring_.reserve(cap_);
-}
-
-void Tracer::set_capacity(std::size_t capacity) {
-  cap_ = capacity ? capacity : 1;
-  clear();
-}
+namespace {
+constexpr auto kSpan = FlightRecord::Stream::Span;
+}  // namespace
 
 void Tracer::clear() {
-  ring_.clear();
-  ring_.reserve(cap_);
-  next_ = 0;
-  total_ = 0;
+  FlightRecorder::global().clear();
   next_span_ = 1;
 }
 
 void Tracer::record(std::uint64_t time, std::uint32_t node, const OpRef& op,
-                    SpanEvent event, std::string detail) {
-  span(time, time, node, op, event, TraceContext{}, std::move(detail));
+                    SpanEvent event, std::string_view detail) {
+  span(time, time, node, op, event, TraceContext{}, detail);
 }
 
 std::uint64_t Tracer::span(std::uint64_t begin, std::uint64_t end,
                            std::uint32_t node, const OpRef& op,
                            SpanEvent event, const TraceContext& ctx,
-                           std::string detail) {
+                           std::string_view detail) {
   if (!enabled_) return 0;
-  TraceRecord rec{begin,        end,
-                  node,         op,
-                  event,        ctx.trace_id,
-                  next_span_++, ctx.parent_span,
-                  std::move(detail)};
-  FlightRecorder& fr = FlightRecorder::global();
-  if (fr.enabled()) fr.absorb_span(rec);
-  const std::uint64_t id = rec.span_id;
-  if (ring_.size() < cap_) {
-    ring_.push_back(std::move(rec));
-  } else {
-    ring_[next_] = std::move(rec);
-  }
-  next_ = (next_ + 1) % cap_;
-  ++total_;
-  return id;
+  FlightRecord& rec = FlightRecorder::global().append(node);
+  rec.time = begin;
+  rec.end = end;
+  rec.node = node;
+  rec.kind = static_cast<std::uint8_t>(event);
+  rec.op = op;
+  rec.trace_id = ctx.trace_id;
+  rec.span_id = next_span_++;
+  rec.parent_span = ctx.parent_span;
+  rec.set_detail(detail);
+  return rec.span_id;
 }
 
-std::size_t Tracer::size() const noexcept { return ring_.size(); }
-
-std::uint64_t Tracer::dropped() const noexcept {
-  return total_ - ring_.size();
+std::vector<FlightRecord> Tracer::records() const {
+  return FlightRecorder::global().select(kSpan);
 }
 
-std::vector<TraceRecord> Tracer::records() const {
-  std::vector<TraceRecord> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < cap_) {
-    out = ring_;
-  } else {
-    // next_ points at the oldest record once the ring has wrapped.
-    out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(next_),
-               ring_.end());
-    out.insert(out.end(), ring_.begin(),
-               ring_.begin() + static_cast<std::ptrdiff_t>(next_));
-  }
-  return out;
+std::vector<FlightRecord> Tracer::records_for(const OpRef& op) const {
+  return FlightRecorder::global().select(
+      kSpan, [&](const FlightRecord& r) { return r.op == op; });
 }
 
-std::vector<TraceRecord> Tracer::records_for(const OpRef& op) const {
-  std::vector<TraceRecord> out;
-  for (const TraceRecord& r : records()) {
-    if (r.op == op) out.push_back(r);
-  }
-  return out;
-}
-
-std::vector<TraceRecord> Tracer::records_for_trace(
+std::vector<FlightRecord> Tracer::records_for_trace(
     std::uint64_t trace_id) const {
-  std::vector<TraceRecord> out;
-  if (trace_id == 0) return out;
-  for (const TraceRecord& r : records()) {
-    if (r.trace_id == trace_id) out.push_back(r);
-  }
-  return out;
+  return FlightRecorder::global().select(kSpan, [&](const FlightRecord& r) {
+    return trace_id != 0 && r.trace_id == trace_id;
+  });
 }
 
 std::optional<OpRef> Tracer::last_completed_op() const {
-  const std::vector<TraceRecord> all = records();
+  const std::vector<FlightRecord> all = records();
   for (auto it = all.rbegin(); it != all.rend(); ++it) {
-    if (it->event == SpanEvent::ReplyDeliver) return it->op;
+    if (it->span_event() == SpanEvent::ReplyDeliver) return it->op;
   }
   return std::nullopt;
-}
-
-namespace {
-void format_record(std::ostringstream& os, const TraceRecord& r) {
-  os << '[' << r.time << "] node=" << r.node << ' ' << to_string(r.event)
-     << ' ' << r.op.str();
-  if (r.trace_id != 0) {
-    os << " trace=" << r.trace_id << " span=" << r.span_id;
-    if (r.parent_span != 0) os << " parent=" << r.parent_span;
-    if (r.end != r.time) os << " dur=" << (r.end - r.time);
-  }
-  if (!r.detail.empty()) os << ' ' << r.detail;
-  os << '\n';
-}
-}  // namespace
-
-std::string Tracer::dump_text() const {
-  std::ostringstream os;
-  for (const TraceRecord& r : records()) format_record(os, r);
-  return os.str();
-}
-
-std::string Tracer::dump_text(const OpRef& op) const {
-  std::ostringstream os;
-  for (const TraceRecord& r : records_for(op)) format_record(os, r);
-  return os.str();
-}
-
-std::string Tracer::dump_json() const {
-  std::ostringstream os;
-  os << '[';
-  bool first = true;
-  for (const TraceRecord& r : records()) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"time\":" << r.time << ",\"end\":" << r.end
-       << ",\"node\":" << r.node << ",\"op\":\"" << r.op.str()
-       << "\",\"event\":\"" << to_string(r.event)
-       << "\",\"trace\":" << r.trace_id << ",\"span\":" << r.span_id
-       << ",\"parent\":" << r.parent_span << ",\"detail\":\"";
-    for (char ch : r.detail) {
-      if (ch == '"' || ch == '\\') os << '\\';
-      os << ch;
-    }
-    os << "\"}";
-  }
-  os << ']';
-  return os.str();
 }
 
 Tracer& Tracer::global() {

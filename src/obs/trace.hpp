@@ -20,100 +20,32 @@
 // causal story — including nested invocations, whose spans parent on the
 // execution span that issued them.
 //
-// The sink is a fixed-capacity ring buffer: recording is O(1), the newest
-// records win, and `dropped()` says how much history was overwritten.
-// Tracing is OFF by default; every call site guards with `enabled()` so the
-// disabled cost is a single predictable branch (verified by bench_micro).
+// The Tracer is an emit façade over the flight recorder (obs/recorder.hpp):
+// each span is written in place into the recording node's ring, and the
+// queries below are views over those records. Tracing is OFF by default;
+// every call site guards with `enabled()` so the disabled cost is a single
+// predictable branch (verified by bench_micro).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <vector>
+
+#include "obs/recorder.hpp"
 
 namespace eternal::obs {
 
-/// Layer-neutral mirror of rep::OperationId (obs sits below rep).
-struct OpRef {
-  std::uint64_t parent_epoch = 0;
-  std::uint64_t parent_seq = 0;
-  std::uint64_t op_seq = 0;
-
-  bool operator==(const OpRef&) const = default;
-  bool valid() const noexcept {
-    return parent_epoch != 0 || parent_seq != 0 || op_seq != 0;
-  }
-  std::string str() const {
-    return std::to_string(parent_epoch) + ":" + std::to_string(parent_seq) +
-           "/" + std::to_string(op_seq);
-  }
-};
-
-/// Causal trace context carried on the wire alongside an operation. The
-/// trace id names the whole causal chain (root operation and everything it
-/// spawned); the parent span id names the span that caused this hop.
-/// Both zero = untraced.
-struct TraceContext {
-  std::uint64_t trace_id = 0;
-  std::uint64_t parent_span = 0;
-
-  bool operator==(const TraceContext&) const = default;
-  bool traced() const noexcept { return trace_id != 0; }
-};
-
-enum class SpanEvent : std::uint8_t {
-  ClientSend,            // client stub multicast the invocation
-  ClientRetransmit,      // client retried under the same identifier
-  TotemDeliver,          // envelope delivered in total order at a node
-  ExecStart,             // replica began executing
-  ExecEnd,               // execution finished (reply logged)
-  ReplySend,             // response queued/multicast toward the client
-  ReplyDeliver,          // response reached the waiting client
-  DuplicateDropped,      // receiver-side: copy of an in-progress operation
-  DuplicateReplyResent,  // receiver-side: completed op, logged reply resent
-  SendSuppressed,        // sender-side: sibling's invocation copy won
-  ResponseSuppressed,    // sender-side: sibling's response copy won
-  StateUpdateApplied,    // passive backup applied the postimage
-  FulfillmentRecorded,   // secondary component queued the op for remerge
-  FulfillmentReplayed,   // queued op re-invoked after remerge
-  StateDigestSent,       // divergence oracle: replica broadcast its digest
-  DivergenceDetected,    // divergence oracle: digests disagreed at this op
-  TokenVisitSend,        // totem assigned the message a seq on a token visit
-  FailoverRetry,         // new primary re-invoked a logged operation
-  ReadSkipped,           // passive backup ignored a read-only delivery
-  ResyncDeferred,        // unsynced replica buffered/ignored a delivery
-};
-
-const char* to_string(SpanEvent e);
-
-struct TraceRecord {
-  std::uint64_t time = 0;  // simulated microseconds (span begin)
-  std::uint64_t end = 0;   // span end; == time for instantaneous events
-  std::uint32_t node = 0;  // processor that recorded the event
-  OpRef op;
-  SpanEvent event = SpanEvent::ClientSend;
-  std::uint64_t trace_id = 0;     // 0 = recorded without causal context
-  std::uint64_t span_id = 0;      // this record's own span id
-  std::uint64_t parent_span = 0;  // causally preceding span (0 = root)
-  std::string detail;
-
-  TraceContext ctx() const noexcept { return {trace_id, parent_span}; }
-};
-
 class Tracer {
  public:
-  explicit Tracer(std::size_t capacity = 8192);
-
   bool enabled() const noexcept { return enabled_; }
   void enable(bool on = true) noexcept { enabled_ = on; }
 
-  /// Drops all records; capacity must be > 0.
-  void set_capacity(std::size_t capacity);
+  /// Empties the record store and restarts span ids.
   void clear();
 
   void record(std::uint64_t time, std::uint32_t node, const OpRef& op,
-              SpanEvent event, std::string detail = {});
+              SpanEvent event, std::string_view detail = {});
 
   /// Record a span with causal context. Returns the span id assigned to the
   /// record (monotonic, process-wide — the simulation is single-threaded
@@ -121,36 +53,23 @@ class Tracer {
   /// simulated time; instantaneous events pass begin == end.
   std::uint64_t span(std::uint64_t begin, std::uint64_t end,
                      std::uint32_t node, const OpRef& op, SpanEvent event,
-                     const TraceContext& ctx, std::string detail = {});
+                     const TraceContext& ctx, std::string_view detail = {});
 
-  std::size_t size() const noexcept;
-  std::uint64_t recorded() const noexcept { return total_; }
-  std::uint64_t dropped() const noexcept;
-
-  /// Records in recording order (oldest surviving first).
-  std::vector<TraceRecord> records() const;
-  std::vector<TraceRecord> records_for(const OpRef& op) const;
-  /// All surviving records of one causal chain, in recording order.
-  std::vector<TraceRecord> records_for_trace(std::uint64_t trace_id) const;
+  /// Surviving span records in timeline order (FlightRecorder::records).
+  std::vector<FlightRecord> records() const;
+  std::vector<FlightRecord> records_for(const OpRef& op) const;
+  /// All surviving records of one causal chain.
+  std::vector<FlightRecord> records_for_trace(std::uint64_t trace_id) const;
   /// The operation of the newest ReplyDeliver record — i.e. the most recent
-  /// invocation whose full lifecycle is likely still in the buffer.
+  /// invocation whose full lifecycle is likely still in the rings.
   std::optional<OpRef> last_completed_op() const;
 
-  /// One line per record: `[time] node=N event op detail`.
-  std::string dump_text() const;
-  std::string dump_text(const OpRef& op) const;
-  std::string dump_json() const;
-
-  /// The process-wide default tracer all layers record into.
+  /// The process-wide tracer all layers record through.
   static Tracer& global();
 
  private:
   bool enabled_ = false;
-  std::size_t cap_ = 0;
-  std::size_t next_ = 0;   // ring write index
-  std::uint64_t total_ = 0;
   std::uint64_t next_span_ = 1;  // span-id allocator (never reused)
-  std::vector<TraceRecord> ring_;
 };
 
 }  // namespace eternal::obs

@@ -80,17 +80,14 @@ SoakResult SoakRunner::run(std::uint64_t seed) {
   // Fresh telemetry per schedule. The flight recorder is the audit's
   // evidence, so its per-node rings must hold the *whole* run — ring
   // overwrites could hide a suppression record and turn a legitimate retry
-  // into a false unsuppressed-retry conviction. records_dropped reports
-  // whether that margin held.
+  // into a false unsuppressed-retry conviction. A run whose rings wrapped
+  // is reported inconclusive below.
   obs::Tracer::global().enable(cfg_.audit);
-  obs::Tracer::global().clear();
   obs::FlightRecorder& fr = obs::FlightRecorder::global();
-  fr.enable(cfg_.audit);
-  if (cfg_.audit && fr.per_node_capacity() != cfg_.recorder_capacity) {
+  if (fr.per_node_capacity() != cfg_.recorder_capacity) {
     fr.set_per_node_capacity(cfg_.recorder_capacity);
   }
-  fr.clear();
-  obs::Journal::global().clear();
+  obs::Tracer::global().clear();  // empties the store, restarts span ids
   obs::Registry::global().reset();
   // Self-describing dumps: obsctl audit stamps every violation with the
   // run seed it parses from this event.
@@ -274,12 +271,19 @@ SoakResult SoakRunner::run(std::uint64_t seed) {
         }
       }
     }
+    r.records_dropped = fr.dropped();
+    if (r.records_dropped > 0) {
+      r.violations.push_back(
+          "inconclusive: " + std::to_string(r.records_dropped) +
+          " records overwritten (recorder_capacity " +
+          std::to_string(cfg_.recorder_capacity) +
+          " per node); the audit below saw a partial history");
+    }
     obsctl::Analysis analysis;
     analysis.add_records(fr.records());
     for (const obsctl::AuditViolation& v : analysis.audit()) {
       r.violations.push_back(v.str());
     }
-    r.records_dropped = fr.dropped();
   }
 
   const auto total = [&domain](auto get) { return domain.total(get); };

@@ -64,7 +64,8 @@ struct SoakConfig {
   sim::Time drain_timeout = 30 * sim::kSecond;
 
   /// Record + audit the run (flight recorder at `recorder_capacity` per
-  /// node). bench_load disables this for pure latency sweeps.
+  /// node; a run that overwrites any record fails as inconclusive).
+  /// bench_load disables this for pure latency sweeps.
   bool audit = true;
   std::size_t recorder_capacity = 1 << 15;
   /// Fixture hook: absorb a forged duplicate ExecStart record before the

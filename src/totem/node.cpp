@@ -65,18 +65,20 @@ void Node::start() {
   enter_gather();
   // Periodic ring announcement: lets disjoint rings discover each other
   // once the network remerges. Runs for the life of the node.
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, tick] {
-    if (state_ == State::Down) return;
-    if (state_ == State::Operational) {
-      Packet pkt;
-      pkt.kind = MsgKind::RingAnnounce;
-      pkt.announce = RingAnnounceMsg{id_, cur_.id, cur_.members};
-      multicast(pkt);
-    }
-    announce_timer_ = sim_.after(local(params_.announce_interval), *tick);
-  };
-  announce_timer_ = sim_.after(local(params_.announce_interval), *tick);
+  announce_timer_ = sim_.after(local(params_.announce_interval),
+                               [this] { announce_tick(); });
+}
+
+void Node::announce_tick() {
+  if (state_ == State::Down) return;
+  if (state_ == State::Operational) {
+    Packet pkt;
+    pkt.kind = MsgKind::RingAnnounce;
+    pkt.announce = RingAnnounceMsg{id_, cur_.id, cur_.members};
+    multicast(pkt);
+  }
+  announce_timer_ = sim_.after(local(params_.announce_interval),
+                               [this] { announce_tick(); });
 }
 
 void Node::halt() {
@@ -498,22 +500,25 @@ void Node::enter_gather() {
   candidates_stable_since_ = sim_.now();
   send_join();
 
-  auto join_tick = std::make_shared<std::function<void()>>();
-  *join_tick = [this, join_tick] {
-    if (state_ != State::Gather) return;
-    send_join();
-    join_timer_ = sim_.after(local(params_.join_interval), *join_tick);
-  };
-  join_timer_ = sim_.after(local(params_.join_interval), *join_tick);
+  join_timer_ =
+      sim_.after(local(params_.join_interval), [this] { join_tick(); });
+  consensus_timer_ =
+      sim_.after(local(params_.join_interval), [this] { consensus_tick(); });
+}
 
-  auto consensus_tick = std::make_shared<std::function<void()>>();
-  *consensus_tick = [this, consensus_tick] {
-    if (state_ != State::Gather) return;
-    try_consensus();
-    if (state_ != State::Gather) return;
-    consensus_timer_ = sim_.after(local(params_.join_interval), *consensus_tick);
-  };
-  consensus_timer_ = sim_.after(local(params_.join_interval), *consensus_tick);
+void Node::join_tick() {
+  if (state_ != State::Gather) return;
+  send_join();
+  join_timer_ =
+      sim_.after(local(params_.join_interval), [this] { join_tick(); });
+}
+
+void Node::consensus_tick() {
+  if (state_ != State::Gather) return;
+  try_consensus();
+  if (state_ != State::Gather) return;
+  consensus_timer_ =
+      sim_.after(local(params_.join_interval), [this] { consensus_tick(); });
 }
 
 void Node::send_join() {

@@ -239,6 +239,10 @@ class Node {
 
   // --- state transitions ---
   void enter_gather();
+  // Periodic timer bodies; each re-arms itself through a `[this]` closure.
+  void announce_tick();
+  void join_tick();
+  void consensus_tick();
   void try_consensus();
   void build_and_send_commit();
   void fill_commit_info(CommitMsg& c);

@@ -229,10 +229,10 @@ TEST(Divergence, SaltedServantIsConvictedByOperationId) {
   const auto events =
       obs::Journal::global().events(obs::EventKind::DivergenceDetected);
   ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.front().subject, "ctr");
-  EXPECT_NE(events.front().detail.find("op=" + seen->op.str()),
-            std::string::npos)
-      << events.front().detail;
+  const std::string detail = events.front().detail_str();
+  EXPECT_EQ(detail.rfind("ctr ", 0), 0u) << detail;
+  EXPECT_NE(detail.find("op=" + seen->op.str()), std::string::npos)
+      << detail;
 }
 
 TEST(Divergence, OracleOffMeansNoDigestTraffic) {

@@ -305,7 +305,6 @@ void add_giop(std::vector<Golden>& out) {
 
 void add_flight_recorder(std::vector<Golden>& out) {
   obs::FlightRecorder fr(4);
-  fr.enable();
   for (std::uint32_t i = 0; i < 3; ++i) {
     obs::FlightRecord r;
     r.time = 1000 * (i + 1);
@@ -329,7 +328,6 @@ void add_flight_recorder(std::vector<Golden>& out) {
                  [](const Bytes& b) { (void)obs::FlightRecorder::decode(b); },
                  [](const Bytes& b) {
                    obs::FlightRecorder again(4);
-                   again.enable();
                    for (const obs::FlightRecord& r :
                         obs::FlightRecorder::decode(b)) {
                      again.absorb(r);

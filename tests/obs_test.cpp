@@ -1,5 +1,6 @@
 // Tests for the observability subsystem: metrics registry semantics, the
-// operation-lifecycle tracer (including span ordering under active
+// tracer and journal as emit façades over the one record store, the
+// operation-lifecycle trace (including span ordering under active
 // replication's duplicate suppression), and the membership & fault event
 // journal on a scripted partition/remerge.
 #include <gtest/gtest.h>
@@ -167,34 +168,41 @@ TEST(SummaryUnit, RegistryFindOrCreateAndExport) {
 }
 
 // ---------------------------------------------------------------------------
-// Tracer
+// Tracer and journal: emit façades over the one record store
 // ---------------------------------------------------------------------------
 
-TEST(Tracer, DisabledRecordIsANoOp) {
-  Tracer t(16);
-  EXPECT_FALSE(t.enabled());
-  t.record(1, 0, OpRef{0, 1, 1}, SpanEvent::ClientSend, "x");
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.recorded(), 0u);
+/// Starts a unit test from an empty process-wide store at `capacity`
+/// records per node, and restores the default store on exit.
+struct FreshStore {
+  explicit FreshStore(std::size_t capacity = 64) {
+    FlightRecorder::global().set_per_node_capacity(capacity);
+    Tracer::global().clear();
+  }
+  ~FreshStore() {
+    Tracer::global().enable(false);
+    FlightRecorder::global().set_per_node_capacity(2048);
+    Tracer::global().clear();
+  }
+};
+
+std::string lines(const std::vector<FlightRecord>& recs) {
+  std::string out;
+  for (const FlightRecord& r : recs) out += r.str() + '\n';
+  return out;
 }
 
-TEST(Tracer, RingOverwritesOldestAndCountsDropped) {
-  Tracer t(4);
-  t.enable();
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    t.record(i, 0, OpRef{0, 1, i}, SpanEvent::TotemDeliver, "");
-  }
-  EXPECT_EQ(t.size(), 4u);
-  EXPECT_EQ(t.recorded(), 10u);
-  EXPECT_EQ(t.dropped(), 6u);
-  const auto recs = t.records();
-  ASSERT_EQ(recs.size(), 4u);
-  // Oldest surviving first: 6, 7, 8, 9.
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(recs[i].time, 6 + i);
+TEST(Tracer, DisabledRecordIsANoOp) {
+  FreshStore store;
+  Tracer& t = Tracer::global();
+  EXPECT_FALSE(t.enabled());
+  t.record(1, 0, OpRef{0, 1, 1}, SpanEvent::ClientSend, "x");
+  EXPECT_TRUE(t.records().empty());
+  EXPECT_EQ(FlightRecorder::global().absorbed(), 0u);
 }
 
 TEST(Tracer, RecordsForAndLastCompletedOp) {
-  Tracer t(64);
+  FreshStore store;
+  Tracer& t = Tracer::global();
   t.enable();
   const OpRef a{0, 1, 1}, b{0, 1, 2};
   t.record(10, 0, a, SpanEvent::ClientSend, "");
@@ -206,14 +214,15 @@ TEST(Tracer, RecordsForAndLastCompletedOp) {
   auto last = t.last_completed_op();
   ASSERT_TRUE(last.has_value());
   EXPECT_EQ(*last, a);
-  const std::string dump = t.dump_text(a);
+  const std::string dump = lines(t.records_for(a));
   EXPECT_NE(dump.find("client_send"), std::string::npos);
   EXPECT_NE(dump.find("reply_deliver"), std::string::npos);
   EXPECT_EQ(dump.find("0:1/2"), std::string::npos);  // b's records filtered
 }
 
 TEST(Tracer, SpanAssignsMonotonicIdsAndKeepsContext) {
-  Tracer t(64);
+  FreshStore store;
+  Tracer& t = Tracer::global();
   EXPECT_EQ(t.span(1, 1, 0, OpRef{0, 1, 1}, SpanEvent::ClientSend, {7, 0}),
             0u);  // disabled: no id, nothing recorded
   t.enable();
@@ -229,31 +238,102 @@ TEST(Tracer, SpanAssignsMonotonicIdsAndKeepsContext) {
   EXPECT_EQ(recs[0].span_id, root);
   EXPECT_EQ(recs[0].parent_span, 0u);
   EXPECT_EQ(recs[0].trace_id, 7u);
+  EXPECT_EQ(recs[0].detail_str(), "g=x");
   EXPECT_EQ(recs[1].span_id, child);
   EXPECT_EQ(recs[1].parent_span, root);
   EXPECT_EQ(recs[1].time, 20u);
   EXPECT_EQ(recs[1].end, 25u);
+  EXPECT_NE(recs[1].str().find("dur=5"), std::string::npos);
   EXPECT_TRUE(t.records_for_trace(999).empty());
-  EXPECT_EQ(recs[0].ctx(), (TraceContext{7, 0}));
+
+  // clear() empties the store and restarts the span ids.
+  t.clear();
+  EXPECT_TRUE(t.records().empty());
+  EXPECT_EQ(t.span(30, 30, 3, OpRef{0, 1, 2}, SpanEvent::ClientSend, {8, 0}),
+            root);
 }
 
-// ---------------------------------------------------------------------------
-// Journal
-// ---------------------------------------------------------------------------
+// Spans and journal events share one ring per node: the newest `capacity`
+// records of a node survive whichever stream wrote them, dropped() counts
+// the overwrites of both, and each view sees its own stream's survivors.
+TEST(RecordStream, SpansAndEventsShareOneRingPerNode) {
+  FreshStore store(4);
+  Tracer& t = Tracer::global();
+  t.enable();
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    if (i % 2 == 0) {
+      t.record(i, 0, OpRef{0, 1, i}, SpanEvent::TotemDeliver);
+    } else {
+      Journal::global().emit(i, 0, EventKind::TokenLoss, "ring");
+    }
+  }
+  t.record(99, 1, OpRef{0, 1, 99}, SpanEvent::ClientSend);
 
-TEST(JournalUnit, BoundedAndFilterable) {
-  Journal j(4);
+  const FlightRecorder& fr = FlightRecorder::global();
+  EXPECT_EQ(fr.absorbed(), 11u);
+  EXPECT_EQ(fr.dropped(), 6u);  // node 0 overwrote 6 of its 10
+  const auto node0 = fr.records(0);
+  ASSERT_EQ(node0.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(node0[i].time, 6 + i);  // oldest surviving first
+  }
+  const auto spans = t.records();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].time, 6u);
+  EXPECT_EQ(spans[1].time, 8u);
+  EXPECT_EQ(spans[2].node, 1u);
+  const auto events = Journal::global().events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].time, 7u);
+  EXPECT_EQ(events[1].time, 9u);
+}
+
+// events(kind) filters the journal records; each carries the
+// `"subject detail"` text the dumps and obsctl see, cut to the cell.
+TEST(RecordStream, EventsViewFiltersByKind) {
+  FreshStore store(4);
+  Journal& j = Journal::global();
   for (std::uint64_t i = 0; i < 6; ++i) {
     j.emit(i, 0, i % 2 == 0 ? EventKind::TokenLoss : EventKind::Failover,
-           "subj", "");
+           "subj", i == 4 ? "epoch=3" : "");
   }
-  EXPECT_EQ(j.size(), 4u);
-  EXPECT_EQ(j.dropped(), 2u);
-  EXPECT_EQ(j.events(EventKind::TokenLoss).size(), 2u);  // 2 and 4 survive
+  EXPECT_EQ(FlightRecorder::global().dropped(), 2u);
+  const auto losses = j.events(EventKind::TokenLoss);
+  ASSERT_EQ(losses.size(), 2u);  // 2 and 4 survive
+  EXPECT_EQ(losses[0].time, 2u);
+  EXPECT_EQ(losses[0].detail_str(), "subj");
+  EXPECT_EQ(losses[1].detail_str(), "subj epoch=3");
   EXPECT_EQ(j.events(EventKind::Failover).size(), 2u);
-  j.enable(false);
-  j.emit(99, 0, EventKind::TokenLoss, "ignored", "");
-  EXPECT_EQ(j.size(), 4u);
+  EXPECT_TRUE(j.events(EventKind::RemergeDetected).empty());
+
+  j.emit(9, 1, EventKind::RunMeta, std::string(40, 's'), std::string(40, 'd'));
+  const auto meta = j.events(EventKind::RunMeta);
+  ASSERT_EQ(meta.size(), 1u);
+  EXPECT_EQ(meta[0].detail_str(),
+            std::string(40, 's') + " " + std::string(22, 'd'));
+  EXPECT_NE(meta[0].str().find("journal run_meta"), std::string::npos);
+}
+
+// The store is always on: a journal event emitted with tracing off and no
+// dump directory armed still lands in the recorder, its dump bytes and the
+// JSON report.
+TEST(RecordStream, JournalEventLandsWithTracerOffAndNoDumpDir) {
+  FreshStore store;
+  FlightRecorder& fr = FlightRecorder::global();
+  ASSERT_FALSE(Tracer::global().enabled());
+  ASSERT_FALSE(fr.armed());
+  Journal::global().emit(42, 3, EventKind::Failover, "ctr", "primary=2");
+  ASSERT_EQ(fr.records().size(), 1u);
+
+  const auto decoded = FlightRecorder::decode(fr.encode());
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0].stream, FlightRecord::Stream::Journal);
+  EXPECT_EQ(decoded[0].journal_kind(), EventKind::Failover);
+  EXPECT_EQ(decoded[0].node, 3u);
+  EXPECT_EQ(decoded[0].time, 42u);
+  EXPECT_EQ(decoded[0].detail_str(), "ctr primary=2");
+  EXPECT_NE(report_json().find("\"kind\":\"failover\",\"op\":\"0:0/0\""),
+            std::string::npos);
 }
 
 TEST(JournalUnit, FormatMembers) {
@@ -295,18 +375,13 @@ struct Cluster {
   rep::Domain domain;
 };
 
-// The tracer and journal are process-wide; scrub them around each scenario
-// so tests stay order-independent.
+// The record store is process-wide; scrub it around each scenario so tests
+// stay order-independent.
 struct EndToEnd : ::testing::Test {
-  void SetUp() override {
-    Tracer::global().clear();
-    Journal::global().clear();
-    Journal::global().enable(true);
-  }
+  void SetUp() override { Tracer::global().clear(); }
   void TearDown() override {
     Tracer::global().enable(false);
     Tracer::global().clear();
-    Journal::global().clear();
   }
 };
 
@@ -328,10 +403,12 @@ TEST_F(EndToEnd, TraceSpansOrderedUnderDuplicateSuppression) {
 
   auto count = [&](SpanEvent e) {
     return std::count_if(recs.begin(), recs.end(),
-                         [&](const TraceRecord& r) { return r.event == e; });
+                         [&](const FlightRecord& r) {
+                           return r.span_event() == e;
+                         });
   };
   // The timeline starts at the client and ends with its reply.
-  EXPECT_EQ(recs.front().event, SpanEvent::ClientSend);
+  EXPECT_EQ(recs.front().span_event(), SpanEvent::ClientSend);
   EXPECT_EQ(count(SpanEvent::ClientSend), 1);
   EXPECT_EQ(count(SpanEvent::ReplyDeliver), 1);
   // Active replication: every replica delivered and executed the operation,
@@ -381,14 +458,14 @@ TEST_F(EndToEnd, CausalChainLinksClientTokenExecAndReply) {
   ASSERT_GE(chain.size(), op_recs.size());
   std::size_t roots = 0, token_visits = 0;
   std::uint64_t client_span = 0;
-  for (const TraceRecord& r : chain) {
+  for (const FlightRecord& r : chain) {
     EXPECT_EQ(r.trace_id, trace);
     if (r.parent_span == 0) {
       ++roots;
-      EXPECT_EQ(r.event, SpanEvent::ClientSend);
+      EXPECT_EQ(r.span_event(), SpanEvent::ClientSend);
       client_span = r.span_id;
     }
-    if (r.event == SpanEvent::TokenVisitSend) ++token_visits;
+    if (r.span_event() == SpanEvent::TokenVisitSend) ++token_visits;
   }
   EXPECT_EQ(roots, 1u);
   ASSERT_NE(client_span, 0u);
@@ -397,22 +474,22 @@ TEST_F(EndToEnd, CausalChainLinksClientTokenExecAndReply) {
   // Parent links stay inside the chain: every non-root parent is the span
   // id of another record of the same trace.
   std::vector<std::uint64_t> ids;
-  for (const TraceRecord& r : chain) ids.push_back(r.span_id);
-  for (const TraceRecord& r : chain) {
+  for (const FlightRecord& r : chain) ids.push_back(r.span_id);
+  for (const FlightRecord& r : chain) {
     if (r.parent_span == 0) continue;
     EXPECT_NE(std::find(ids.begin(), ids.end(), r.parent_span), ids.end())
-        << to_string(r.event) << " parent " << r.parent_span
+        << r.kind_str() << " parent " << r.parent_span
         << " not in trace";
   }
 
   // Stage wiring: the invocation's token visit and the replicas' deliveries
   // and executions all parent on the client-send span; replies parent on an
   // execution span.
-  for (const TraceRecord& r : chain) {
-    if (r.event == SpanEvent::ExecStart) {
+  for (const FlightRecord& r : chain) {
+    if (r.span_event() == SpanEvent::ExecStart) {
       EXPECT_EQ(r.parent_span, client_span);
     }
-    if (r.event == SpanEvent::ReplyDeliver) {
+    if (r.span_event() == SpanEvent::ReplyDeliver) {
       EXPECT_NE(r.parent_span, client_span);
       EXPECT_NE(r.parent_span, 0u);
     }
@@ -459,8 +536,8 @@ TEST_F(EndToEnd, NestedInvocationsChainOntoParentExecutionSpan) {
   const auto chain = Tracer::global().records_for_trace(trace);
   std::vector<OpRef> exec_ops;
   std::vector<std::uint64_t> teller_exec_spans;
-  for (const TraceRecord& r : chain) {
-    if (r.event != SpanEvent::ExecStart) continue;
+  for (const FlightRecord& r : chain) {
+    if (r.span_event() != SpanEvent::ExecStart) continue;
     if (std::find(exec_ops.begin(), exec_ops.end(), r.op) == exec_ops.end()) {
       exec_ops.push_back(r.op);
     }
@@ -473,8 +550,8 @@ TEST_F(EndToEnd, NestedInvocationsChainOntoParentExecutionSpan) {
 
   // Nested executions parent on the teller execution span that issued them.
   std::size_t nested_execs = 0;
-  for (const TraceRecord& r : chain) {
-    if (r.event != SpanEvent::ExecStart || r.op == *last) continue;
+  for (const FlightRecord& r : chain) {
+    if (r.span_event() != SpanEvent::ExecStart || r.op == *last) continue;
     ++nested_execs;
     EXPECT_NE(std::find(teller_exec_spans.begin(), teller_exec_spans.end(),
                         r.parent_span),
@@ -507,7 +584,7 @@ TEST_F(EndToEnd, JournalTellsThePartitionRemergeStory) {
   const auto secondary = j.events(EventKind::PartitionSecondary);
   ASSERT_FALSE(secondary.empty());
   EXPECT_EQ(secondary.front().node, 3u);
-  EXPECT_EQ(secondary.front().subject, "ctr");
+  EXPECT_EQ(secondary.front().detail_str().rfind("ctr ", 0), 0u);
   // …and the heal is detected as a remerge.
   EXPECT_FALSE(j.events(EventKind::RemergeDetected).empty());
 
@@ -516,7 +593,7 @@ TEST_F(EndToEnd, JournalTellsThePartitionRemergeStory) {
   for (std::size_t i = 1; i < all.size(); ++i) {
     EXPECT_LE(all[i - 1].time, all[i].time) << "event " << i;
   }
-  const std::string dump = j.dump_text();
+  const std::string dump = lines(all);
   EXPECT_NE(dump.find("token_loss"), std::string::npos);
   EXPECT_NE(dump.find("partition_secondary"), std::string::npos);
   EXPECT_NE(dump.find("remerge_detected"), std::string::npos);

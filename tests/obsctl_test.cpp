@@ -83,27 +83,20 @@ struct Cluster {
   rep::Domain domain;
 };
 
-/// Arms the process-wide tracer, journal and flight recorder around each
-/// scenario. The recorder's dump directory stays EMPTY during the run —
-/// scenarios dump explicitly at the end, so the audited files never contain
-/// a mid-flight snapshot with legitimately unanswered operations.
+/// Turns tracing on over an empty record store around each scenario. The
+/// recorder's dump directory stays EMPTY during the run — scenarios dump
+/// explicitly at the end, so the audited files never contain a mid-flight
+/// snapshot with legitimately unanswered operations.
 struct Scenario : ::testing::Test {
   void SetUp() override {
     obs::Tracer::global().clear();
     obs::Tracer::global().enable(true);
-    obs::Journal::global().clear();
-    obs::Journal::global().enable(true);
-    obs::FlightRecorder::global().clear();
     obs::FlightRecorder::global().set_dump_dir("");
-    obs::FlightRecorder::global().enable(true);
   }
   void TearDown() override {
-    obs::FlightRecorder::global().enable(false);
-    obs::FlightRecorder::global().clear();
     obs::FlightRecorder::global().set_dump_dir("");
     obs::Tracer::global().enable(false);
     obs::Tracer::global().clear();
-    obs::Journal::global().clear();
   }
 };
 
@@ -250,7 +243,6 @@ obs::FlightRecord span_record(std::uint64_t time, std::uint32_t node,
 
 TEST(ObsctlAudit, FlagsInjectedDuplicateExecution) {
   obs::FlightRecorder fr(64);
-  fr.enable();
   fr.absorb(span_record(10, 3, obs::SpanEvent::ClientSend, 1, 0,
                         "group=ctr op=incr"));
   fr.absorb(span_record(20, 1, obs::SpanEvent::TotemDeliver, 2, 1,
@@ -292,7 +284,6 @@ TEST(ObsctlAudit, ReportsRunSeedFromMetaStamp) {
   // Soak/bench clusters stamp the run seed at t=0; violation reports name
   // the exact schedule through it.
   obs::FlightRecorder fr(64);
-  fr.enable();
   fr.absorb(journal_record(0, 0, obs::EventKind::RunMeta, "seed=4217"));
   obsctl::Analysis analysis;
   analysis.add_records(fr.records());
@@ -352,7 +343,6 @@ TEST(ObsctlAudit, TransferOnAnotherNodeDoesNotExempt) {
   // A transfer at a *different* node (or group) explains nothing about this
   // node's double execution — the conviction must stand.
   obs::FlightRecorder fr(64);
-  fr.enable();
   fr.absorb(span_record(10, 3, obs::SpanEvent::ClientSend, 1, 0, ""));
   fr.absorb(span_record(20, 1, obs::SpanEvent::TotemDeliver, 2, 1,
                         "carrier=1:7 from=3 target=ctr"));
@@ -535,7 +525,6 @@ TEST_F(Scenario, DomainRecoveryDumpAuditsClean) {
 
 TEST(ObsctlAudit, CleanSyntheticHistoryPasses) {
   obs::FlightRecorder fr(64);
-  fr.enable();
   fr.absorb(span_record(10, 3, obs::SpanEvent::ClientSend, 1, 0, ""));
   fr.absorb(span_record(20, 1, obs::SpanEvent::TotemDeliver, 2, 1,
                         "carrier=1:7 from=3"));
@@ -552,7 +541,6 @@ TEST(ObsctlAudit, CleanSyntheticHistoryPasses) {
 
 TEST(FlightRecorderUnit, RingWrapKeepsNewestPerNode) {
   obs::FlightRecorder fr(4);
-  fr.enable();
   for (std::uint64_t i = 0; i < 10; ++i) {
     fr.absorb(span_record(i, 1, obs::SpanEvent::TotemDeliver, i + 1, 0, ""));
   }
@@ -569,16 +557,8 @@ TEST(FlightRecorderUnit, RingWrapKeepsNewestPerNode) {
   EXPECT_TRUE(fr.records(7).empty());
 }
 
-TEST(FlightRecorderUnit, DisabledAbsorbsNothing) {
-  obs::FlightRecorder fr(4);
-  fr.absorb(span_record(1, 0, obs::SpanEvent::ClientSend, 1, 0, ""));
-  EXPECT_EQ(fr.absorbed(), 0u);
-  EXPECT_EQ(fr.nodes(), 0u);
-}
-
 TEST(FlightRecorderUnit, EncodeDecodeRoundTripsRecords) {
   obs::FlightRecorder fr(8);
-  fr.enable();
   obs::FlightRecord a =
       span_record(5, 2, obs::SpanEvent::ExecStart, 9, 4, "group=g op=incr");
   a.end = 7;

@@ -343,12 +343,12 @@ TEST_F(Traced, SpansSurviveBatchPackingEndToEnd) {
   // inner message's trace context intact.
   const auto recs = obs::Tracer::global().records();
   std::size_t clients = 0, matched = 0;
-  for (const obs::TraceRecord& r : recs) {
-    if (r.event != obs::SpanEvent::ClientSend) continue;
+  for (const obs::FlightRecord& r : recs) {
+    if (r.span_event() != obs::SpanEvent::ClientSend) continue;
     ++clients;
     ASSERT_NE(r.trace_id, 0u);
-    for (const obs::TraceRecord& v : recs) {
-      if (v.event == obs::SpanEvent::TokenVisitSend &&
+    for (const obs::FlightRecord& v : recs) {
+      if (v.span_event() == obs::SpanEvent::TokenVisitSend &&
           v.trace_id == r.trace_id && v.parent_span == r.span_id) {
         ++matched;
         break;
@@ -388,13 +388,13 @@ TEST_F(Traced, FailoverRetryKeepsOriginalTraceId) {
   // does not fork a new trace.
   const auto recs = obs::Tracer::global().records();
   std::size_t retries = 0;
-  for (const obs::TraceRecord& r : recs) {
-    if (r.event != obs::SpanEvent::FailoverRetry) continue;
+  for (const obs::FlightRecord& r : recs) {
+    if (r.span_event() != obs::SpanEvent::FailoverRetry) continue;
     ++retries;
     ASSERT_NE(r.trace_id, 0u);
     bool found_root = false;
-    for (const obs::TraceRecord& s : recs) {
-      if (s.event == obs::SpanEvent::ClientSend && s.op == r.op) {
+    for (const obs::FlightRecord& s : recs) {
+      if (s.span_event() == obs::SpanEvent::ClientSend && s.op == r.op) {
         EXPECT_EQ(s.trace_id, r.trace_id)
             << "retry of " << r.op.str() << " forked a new trace";
         found_root = true;

@@ -44,6 +44,21 @@ TEST(SoakRunner, SmallScheduleRunsClean) {
       << "recorder ring too small for the audit to be sound";
 }
 
+TEST(SoakRunner, WrappedRecorderRingFailsAsInconclusive) {
+  soak::SoakConfig cfg = small_config();
+  cfg.fault_free = true;
+  cfg.recorder_capacity = 16;  // far below one schedule's records per node
+  soak::SoakRunner runner(cfg);
+  const soak::SoakResult r = runner.run(5);
+  EXPECT_GT(r.records_dropped, 0u);
+  ASSERT_FALSE(r.clean);
+  ASSERT_FALSE(r.violations.empty());
+  EXPECT_EQ(r.violations.front().rfind("inconclusive: ", 0), 0u)
+      << r.violations.front();
+  EXPECT_NE(r.violations.front().find("records overwritten"),
+            std::string::npos);
+}
+
 TEST(SoakRunner, SameSeedReplaysBitIdentically) {
   soak::SoakRunner runner(small_config());
   const soak::SoakResult a = runner.run(17);
